@@ -60,6 +60,8 @@ from .evolution import (
     EvolutionConfig,
     WavepacketClock,
     analytic_offdiagonal,
+    conditional_probabilities,
+    conditional_probabilities_analytic,
     conditional_probability,
     conditional_probability_analytic,
     despagnat_conservation,

@@ -34,8 +34,8 @@ from .errors import ConfigError, RealClockQMError, ResourceLimitError
 from .evolution import (
     ConditionalQuery,
     EvolutionConfig,
-    conditional_probability,
-    conditional_probability_analytic,
+    conditional_probabilities,
+    conditional_probabilities_analytic,
     evolve_master,
     make_wavepacket_clock,
     ordinary_probability,
@@ -211,10 +211,8 @@ def run_condprob(document: dict) -> RunResult:
         if not isinstance(clock, GaussianClock):
             raise ConfigError("config key 'clock.kind': analytic condprob needs a gaussian clock")
 
-    columns = ["t_center", "o_center", "probability", "smeared_probability"]
-    rows = []
-    for query_spec in section["queries"]:
-        query = ConditionalQuery(
+    queries = [
+        ConditionalQuery(
             observable=observable,
             o_center=float(query_spec["o_center"]),
             o_halfwidth=float(query_spec["o_halfwidth"]),
@@ -222,14 +220,20 @@ def run_condprob(document: dict) -> RunResult:
             t_halfwidth=float(query_spec["t_halfwidth"]),
             clock_operator=reading_operator,
         )
-        if mode == "wavepacket":
-            prob = conditional_probability(
-                packet.rho, rho_sys, packet.hamiltonian, hamiltonian, query, cfg
-            )
-            model = packet.gaussian_model
-        else:
-            prob = conditional_probability_analytic(clock, rho_sys, hamiltonian, query, cfg)
-            model = clock
+        for query_spec in section["queries"]
+    ]
+    if mode == "wavepacket":
+        probs = conditional_probabilities(
+            packet.rho, rho_sys, packet.hamiltonian, hamiltonian, queries, cfg
+        )
+        model = packet.gaussian_model
+    else:
+        probs = conditional_probabilities_analytic(clock, rho_sys, hamiltonian, queries, cfg)
+        model = clock
+
+    columns = ["t_center", "o_center", "probability", "smeared_probability"]
+    rows = []
+    for query, prob in zip(queries, probs):
         smeared = smear_density(rho_sys, hamiltonian, model, query.t_center, cfg)
         window = build_projector(observable, query.o_center, query.o_halfwidth)
         rows.append([query.t_center, query.o_center, prob,
@@ -314,7 +318,10 @@ def run_sweep(document: dict) -> RunResult:
     values = np.linspace(float(sweep["min"]), float(sweep["max"]), int(sweep["n"]))
     jobs = [(child_base, sweep["key"], float(v)) for v in values]
 
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
+    raw_workers = os.environ.get(WORKERS_ENV, "1").strip()
+    if not raw_workers.isdecimal() or int(raw_workers) < 1:
+        raise ConfigError(f"{WORKERS_ENV}={raw_workers!r}: must be a positive integer")
+    workers = int(raw_workers)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_sweep_child, jobs))

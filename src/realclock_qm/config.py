@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any
 
 import jsonschema
@@ -209,13 +210,39 @@ CONFIG_SCHEMA: dict[str, Any] = {
 }
 
 
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
+def _first_non_finite(node, path: str) -> tuple[str, float] | None:
+    """Key path and value of the first NaN or infinity in the document."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else (path, node)
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return None
+    for key, child in items:
+        found = _first_non_finite(child, f"{path}.{key}" if path else str(key))
+        if found is not None:
+            return found
+    return None
+
+
 def validate_config(document: dict) -> None:
-    """Schema-validate, reporting the offending key path on failure."""
-    try:
-        jsonschema.validate(document, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config key '{path}': {exc.message}") from exc
+    """Schema-validate, reporting the offending key path on failure.
+
+    JSON NaN and Infinity pass the schema's "number" type, so non-finite
+    numbers are rejected separately.
+    """
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(document))
+    if error is not None:
+        path = ".".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config key '{path}': {error.message}") from error
+    found = _first_non_finite(document, "")
+    if found is not None:
+        raise ConfigError(f"config key '{found[0]}': must be a finite number, got {found[1]}")
 
 
 def load_config(path: str) -> dict:

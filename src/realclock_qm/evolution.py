@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .clock_accuracy import decoherence_exponent
 from .clocks import (
@@ -102,16 +101,27 @@ class ConditionalQuery:
             raise ValidationError("query halfwidths must be positive")
 
 
-def _simpson_matrix(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Composite Simpson along axis 0 for stacked (scalar or matrix) samples."""
-    return simpson(values, x=x, axis=0)
+def _simpson_weights(t: np.ndarray) -> np.ndarray:
+    """Composite Simpson weights on a uniform grid, so that sum(w * f(t)) is
+    the integral; the same rule as scipy.integrate.simpson.
 
-
-def _richardson_defect(values: np.ndarray, x: np.ndarray) -> float:
-    """Error estimate: compare Simpson on the full grid against half resolution."""
-    fine = _simpson_matrix(values, x)
-    coarse = _simpson_matrix(values[::2], x[::2])
-    return float(np.max(np.abs(fine - coarse))) / 15.0
+    An odd count gets dx/3 [1, 4, 2, ..., 4, 1]. An even count gets Simpson
+    on the first N - 1 points plus Cartwright's correction
+    dx [-1/12, 2/3, 5/12] on the last three; N = 2 is the trapezoid rule.
+    """
+    n = len(t)
+    dx = (t[-1] - t[0]) / (n - 1)
+    if n == 2:
+        return np.array([0.5 * dx, 0.5 * dx])
+    m = n if n % 2 == 1 else n - 1
+    w = np.zeros(n)
+    w[:m:2] = 2.0
+    w[1:m:2] = 4.0
+    w[0] = w[m - 1] = 1.0
+    w *= dx / 3.0
+    if m < n:
+        w[-3:] += dx * np.array([-1.0 / 12.0, 2.0 / 3.0, 5.0 / 12.0])
+    return w
 
 
 def _phase_table(decomp: EnergyDecomposition, t: np.ndarray) -> np.ndarray:
@@ -129,7 +139,7 @@ def _trace_curves(
 
     In the energy eigenbasis Tr(op rho(t)) = sum_nm op~[m,n] rho~[n,m]
     e^{-i(omega_n - omega_m) t}; the phase table is shared between the ops
-    and the contraction runs as two BLAS products per op.
+    and the contraction runs as one BLAS product and one row-wise dot per op.
     """
     v = decomp.eigenvectors
     rho_eig = v.conj().T @ rho.matrix @ v
@@ -139,14 +149,13 @@ def _trace_curves(
     for op in ops:
         op_eig = v.conj().T @ op @ v
         coeff = rho_eig * op_eig.T
-        curves.append(np.real(np.sum((phases @ coeff) * phases_conj, axis=1)))
+        curves.append(np.real(np.einsum("tn,tn->t", phases @ coeff, phases_conj)))
     return curves
 
 
-def _trace_curve(
-    rho: DensityMatrix, op: np.ndarray, decomp: EnergyDecomposition, t: np.ndarray
-) -> np.ndarray:
-    return _trace_curves(rho, [op], decomp, t)[0]
+def _smearing_kernel(phases: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """K_nm = sum_t weights_t e^{-i omega_n t} e^{+i omega_m t}, as one GEMM."""
+    return (phases * weights[:, None]).T @ phases.conj()
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +190,8 @@ def smear_density(
         )
     t = cfg.grid()
     weights = np.asarray(pdf(clock, reading, t), dtype=float)
-    mass = float(_simpson_matrix(weights, t))
+    simpson_w = _simpson_weights(t)
+    mass = float(simpson_w @ weights)
     if abs(mass - 1.0) > cfg.quad_tol:
         raise InsufficientGridError(
             f"grid [{cfg.t_min}, {cfg.t_max}] captures clock weight {mass:.12g} "
@@ -191,14 +201,15 @@ def smear_density(
     v = dec.eigenvectors
     rho_eig = v.conj().T @ rho_sys.matrix @ v
     phases = _phase_table(dec, t)
-    # rho~(t)_nm = rho~_nm e^{-i omega_nm t}, assembled for the whole grid
-    stacked = np.einsum("tn,nm,tm->tnm", phases, rho_eig, phases.conj())
-    integrand = stacked * weights[:, None, None]
-    if _richardson_defect(integrand, t) > cfg.quad_tol:
+    # rho~(T)_nm = rho~_nm * integral of P_t(T) e^{-i omega_nm t} dt
+    fine = _smearing_kernel(phases, simpson_w * weights)
+    coarse = _smearing_kernel(phases[::2], _simpson_weights(t[::2]) * weights[::2])
+    # Richardson estimate: Simpson at full against half resolution
+    if float(np.max(np.abs(rho_eig * (fine - coarse)))) / 15.0 > cfg.quad_tol:
         raise InsufficientGridError(
             "grid too coarse for the requested quadrature tolerance; refine it"
         )
-    smeared_eig = _simpson_matrix(integrand, t) / mass
+    smeared_eig = rho_eig * fine / mass
     return DensityMatrix(v @ smeared_eig @ v.conj().T)
 
 
@@ -435,24 +446,95 @@ def ordinary_probability(rho: DensityMatrix, window: Projector) -> float:
     return 0.0 if -1e-12 < value < 0.0 else value
 
 
-def _doubled_grid(cfg: EvolutionConfig) -> np.ndarray:
+def _doubled_grid(cfg: EvolutionConfig) -> tuple[np.ndarray, slice]:
+    """Grid of twice the span at the same spacing, and the slice of it that
+    holds the base grid's nodes (they line up because the base count is odd)."""
+    n = len(cfg.grid())
     center = 0.5 * (cfg.t_min + cfg.t_max)
     half = cfg.t_max - cfg.t_min  # doubled span, same spacing
-    base = cfg.grid()
-    n = 2 * (len(base) - 1) + 1
-    return np.linspace(center - half, center + half, n)
+    start = (n - 1) // 2
+    return np.linspace(center - half, center + half, 2 * n - 1), slice(start, start + n)
 
 
 def _conditional_ratio(
-    weight: np.ndarray, p_sys: np.ndarray, t: np.ndarray, label: str
+    weight: np.ndarray, p_sys: np.ndarray, simpson_w: np.ndarray, label: str
 ) -> float:
-    denominator = float(_simpson_matrix(weight, t))
+    denominator = float(simpson_w @ weight)
     if denominator <= 0 or not math.isfinite(denominator):
         raise GridConvergenceError(
             f"clock never reads the requested window on the {label} grid"
         )
-    numerator = float(_simpson_matrix(p_sys * weight, t))
+    numerator = float(simpson_w @ (p_sys * weight))
     return numerator / denominator
+
+
+def _relational_ratios(
+    weights: list[np.ndarray],
+    rho_sys: DensityMatrix,
+    h_sys: HermitianOperator,
+    queries: list[ConditionalQuery],
+    t: np.ndarray,
+    base: slice,
+    cfg: EvolutionConfig,
+) -> list[float]:
+    """Ratio of ideal-time integrals per query, given each query's clock
+    weight on the doubled grid; accepted only if the base grid agrees."""
+    windows = [build_projector(q.observable, q.o_center, q.o_halfwidth).matrix for q in queries]
+    p_sys_curves = _trace_curves(rho_sys, windows, eigendecompose(h_sys), t)
+    w_base, w_wide = _simpson_weights(t[base]), _simpson_weights(t)
+    results = []
+    for weight, p_sys in zip(weights, p_sys_curves):
+        narrow = _conditional_ratio(weight[base], p_sys[base], w_base, "base")
+        wide = _conditional_ratio(weight, p_sys, w_wide, "doubled")
+        if abs(wide - narrow) >= cfg.quad_tol * max(1.0, abs(wide)):
+            raise GridConvergenceError(
+                f"result moved by {abs(wide - narrow):.3e} when the grid was doubled "
+                f"(tol {cfg.quad_tol:.1e}); the ideal-time integral has not converged"
+            )
+        results.append(wide)
+    return results
+
+
+def conditional_probabilities(
+    rho_cl: DensityMatrix,
+    rho_sys: DensityMatrix,
+    h_cl: HermitianOperator,
+    h_sys: HermitianOperator,
+    queries: list[ConditionalQuery],
+    cfg: EvolutionConfig,
+) -> list[float]:
+    """Probability that the observable is in its window given the clock
+    (a genuine quantum subsystem) reads within its window, for each query.
+
+    Clock and system are independent subsystems, so the defining ratio of
+    ideal-time integrals factorizes into
+    integral[ Tr(P_O rho_sys(t)) * Tr(P_T rho_cl(t)) ] /
+    integral[ Tr(P_T rho_cl(t)) ].
+    The infinite ideal-time range is replaced by the configured grid; the
+    grid is then doubled (same spacing) and the result accepted only if it
+    moves by less than quad_tol. The clock expectation must be strictly
+    increasing over both grids (a clock must not read the same value twice).
+    Every trace curve is computed once, on the doubled grid, and the clock's
+    curves for all queries share one phase table.
+    """
+    for query in queries:
+        if query.clock_operator is None:
+            raise ValidationError("quantum route needs query.clock_operator")
+        _require_narrow_reading_window(query, cfg)
+    t, base = _doubled_grid(cfg)
+    readers = list({id(q.clock_operator): q.clock_operator.matrix for q in queries}.values())
+    windows = [
+        build_projector(q.clock_operator, q.t_center, q.t_halfwidth).matrix for q in queries
+    ]
+    curves = _trace_curves(rho_cl, readers + windows, eigendecompose(h_cl), t)
+    for readings in curves[: len(readers)]:
+        for label, span in (("base", base), ("doubled", slice(None))):
+            if np.any(np.diff(readings[span]) <= 0):
+                raise ClockFoldingError(
+                    "clock expectation value is not strictly increasing over the "
+                    f"{label} grid; shrink the grid to the clock's monotone range"
+                )
+    return _relational_ratios(curves[len(readers):], rho_sys, h_sys, queries, t, base, cfg)
 
 
 def conditional_probability(
@@ -463,46 +545,8 @@ def conditional_probability(
     query: ConditionalQuery,
     cfg: EvolutionConfig,
 ) -> float:
-    """Probability that the observable is in its window given the clock
-    (a genuine quantum subsystem) reads within its window.
-
-    Clock and system are independent subsystems, so the defining ratio of
-    ideal-time integrals factorizes into
-    integral[ Tr(P_O rho_sys(t)) * Tr(P_T rho_cl(t)) ] /
-    integral[ Tr(P_T rho_cl(t)) ].
-    The infinite ideal-time range is replaced by the configured grid; the
-    grid is then doubled (same spacing) and the result accepted only if it
-    moves by less than quad_tol. The clock expectation must be strictly
-    increasing over the grid (a clock must not read the same value twice).
-    """
-    if query.clock_operator is None:
-        raise ValidationError("quantum route needs query.clock_operator")
-    _require_narrow_reading_window(query, cfg)
-    p_obs = build_projector(query.observable, query.o_center, query.o_halfwidth)
-    p_reading = build_projector(query.clock_operator, query.t_center, query.t_halfwidth)
-    dec_cl = eigendecompose(h_cl)
-    dec_sys = eigendecompose(h_sys)
-
-    def ratio_on(t: np.ndarray, label: str) -> float:
-        readings, weight = _trace_curves(
-            rho_cl, [query.clock_operator.matrix, p_reading.matrix], dec_cl, t
-        )
-        if np.any(np.diff(readings) <= 0):
-            raise ClockFoldingError(
-                "clock expectation value is not strictly increasing over the "
-                f"{label} grid; shrink the grid to the clock's monotone range"
-            )
-        p_sys = _trace_curve(rho_sys, p_obs.matrix, dec_sys, t)
-        return _conditional_ratio(weight, p_sys, t, label)
-
-    base = ratio_on(cfg.grid(), "base")
-    wide = ratio_on(_doubled_grid(cfg), "doubled")
-    if abs(wide - base) >= cfg.quad_tol * max(1.0, abs(wide)):
-        raise GridConvergenceError(
-            f"result moved by {abs(wide - base):.3e} when the grid was doubled "
-            f"(tol {cfg.quad_tol:.1e}); the ideal-time integral has not converged"
-        )
-    return wide
+    """One query of conditional_probabilities."""
+    return conditional_probabilities(rho_cl, rho_sys, h_cl, h_sys, [query], cfg)[0]
 
 
 def _require_narrow_reading_window(query: ConditionalQuery, cfg: EvolutionConfig) -> None:
@@ -513,6 +557,23 @@ def _require_narrow_reading_window(query: ConditionalQuery, cfg: EvolutionConfig
         )
 
 
+def conditional_probabilities_analytic(
+    clock: GaussianClock,
+    rho_sys: DensityMatrix,
+    h_sys: HermitianOperator,
+    queries: list[ConditionalQuery],
+    cfg: EvolutionConfig,
+) -> list[float]:
+    """Same relational probabilities with the clock replaced by its analytic
+    reading density: the clock-projector trace becomes pdf(clock, T, t),
+    whose window width cancels between numerator and denominator."""
+    for query in queries:
+        _require_narrow_reading_window(query, cfg)
+    t, base = _doubled_grid(cfg)
+    weights = [np.asarray(pdf(clock, q.t_center, t), dtype=float) for q in queries]
+    return _relational_ratios(weights, rho_sys, h_sys, queries, t, base, cfg)
+
+
 def conditional_probability_analytic(
     clock: GaussianClock,
     rho_sys: DensityMatrix,
@@ -520,26 +581,8 @@ def conditional_probability_analytic(
     query: ConditionalQuery,
     cfg: EvolutionConfig,
 ) -> float:
-    """Same relational probability with the clock replaced by its analytic
-    reading density: the clock-projector trace becomes pdf(clock, T, t),
-    whose window width cancels between numerator and denominator."""
-    _require_narrow_reading_window(query, cfg)
-    p_obs = build_projector(query.observable, query.o_center, query.o_halfwidth)
-    dec_sys = eigendecompose(h_sys)
-
-    def ratio_on(t: np.ndarray, label: str) -> float:
-        weight = np.asarray(pdf(clock, query.t_center, t), dtype=float)
-        p_sys = _trace_curve(rho_sys, p_obs.matrix, dec_sys, t)
-        return _conditional_ratio(weight, p_sys, t, label)
-
-    base = ratio_on(cfg.grid(), "base")
-    wide = ratio_on(_doubled_grid(cfg), "doubled")
-    if abs(wide - base) >= cfg.quad_tol * max(1.0, abs(wide)):
-        raise GridConvergenceError(
-            f"result moved by {abs(wide - base):.3e} when the grid was doubled "
-            f"(tol {cfg.quad_tol:.1e}); the ideal-time integral has not converged"
-        )
-    return wide
+    """One query of conditional_probabilities_analytic."""
+    return conditional_probabilities_analytic(clock, rho_sys, h_sys, [query], cfg)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clock_accuracy import decoherence_exponent
 from .core import DensityMatrix
 from .errors import (
     InvalidCoherenceError,
@@ -123,10 +122,6 @@ def z_ideal(bath: SpinBath, t):
     factors = np.cos(phase) + 1j * weight * np.sin(phase)
     out = np.prod(factors, axis=-1)
     return complex(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-
-def _suppression_exponent(bath: SpinBath, t: float, t_planck: float) -> float:
-    return sum(decoherence_exponent(2.0 * g, t, t_planck) for g in bath.couplings)
 
 
 def z_realclock(bath: SpinBath, t, t_planck: float):

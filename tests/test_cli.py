@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +98,17 @@ class TestEvolveCommand:
         cfg = write_config(tmp_path, "c.json", EVOLVE_DOC)
         missing = tmp_path / "no" / "such" / "dir" / "o.csv"
         assert run_cli("evolve", "--config", cfg, "--out", str(missing)) == 4
+
+    @pytest.mark.parametrize("override", [
+        "system.omega=NaN", "evolution.step=NaN", "evolution.t_final=Infinity",
+    ])
+    def test_non_finite_override_is_config_error(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, "c.json", EVOLVE_DOC)
+        out = tmp_path / "o.csv"
+        assert run_cli("evolve", "--config", cfg, "--out", str(out), "--set", override) == 2
+        err = capsys.readouterr().err
+        assert override.split("=")[0] in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_set_override(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", EVOLVE_DOC)
@@ -249,6 +264,15 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", cfg, "--out", str(out)) == 0
         assert out.read_bytes() == serial
 
+    @pytest.mark.parametrize("workers", ["1.5", "0", "many"])
+    def test_bad_worker_count_is_config_error(self, tmp_path, monkeypatch, capsys, workers):
+        cfg = write_config(tmp_path, "c.json", self._sweep_doc(2))
+        out = tmp_path / "o.csv"
+        monkeypatch.setenv("REALCLOCK_QM_WORKERS", workers)
+        assert run_cli("sweep", "--config", cfg, "--out", str(out)) == 2
+        assert "REALCLOCK_QM_WORKERS" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_child_failure_reports_axis_value(self, tmp_path, capsys):
         doc = {
             "command": "sweep",
@@ -337,6 +361,41 @@ class TestConfigHelpers:
         c = derive_rng(7, "other").normal(size=4)
         assert np.allclose(a, b)
         assert not np.allclose(a, c)
+
+    @pytest.mark.parametrize("document", [
+        {"command": "evolve", "clock": {"kind": "bogus"}},
+        {"command": "evolve", "evolution": {"step": -1.0}},
+        {"command": "evolve", "system": {"values": []}},
+        {"command": "bogus", "typo": 1},
+    ])
+    def test_validate_config_reports_jsonschema_best_match(self, document):
+        import jsonschema
+
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(document, CONFIG_SCHEMA)
+        with pytest.raises(ConfigError) as got:
+            validate_config(document)
+        assert expected.value.message in str(got.value)
+
+    @pytest.mark.parametrize("value, path", [
+        (float("nan"), "system.omega"),
+        (float("inf"), "system.omega"),
+        ([1.0, float("-inf")], "system.values.1"),
+    ])
+    def test_validate_config_rejects_non_finite(self, value, path):
+        key = path.split(".")[1]
+        with pytest.raises(ConfigError, match=f"'{path}': must be a finite number"):
+            validate_config({"command": "evolve", "system": {"preset": "diag", key: value}})
+
+    def test_cli_import_does_not_load_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        subprocess.run(
+            [sys.executable, "-c",
+             "import realclock_qm.cli, sys; assert 'scipy' not in sys.modules"],
+            env=env, check=True,
+        )
 
     def test_validate_config_names_offending_key(self):
         with pytest.raises(ConfigError, match="clock.kind"):

@@ -11,12 +11,15 @@ from realclock_qm import (
     HermitianOperator,
     ValidationError,
     build_projector,
+    conditional_probabilities,
+    conditional_probabilities_analytic,
     conditional_probability,
     conditional_probability_analytic,
     make_wavepacket_clock,
     ordinary_probability,
     smear_density,
 )
+from realclock_qm.evolution import _doubled_grid
 from helpers import PAULI_X, plus_state, qubit_hamiltonian, random_hermitian, random_pure
 
 OBS_X = HermitianOperator(PAULI_X)
@@ -93,6 +96,25 @@ class TestAnalyticRoute:
             conditional_probability_analytic(clock, plus_state(), qubit_hamiltonian(1.0),
                                              query_x(3.5), cfg)
 
+    def test_window_never_read_on_base_grid(self):
+        # the density underflows to zero on the base grid, not on the doubled one
+        clock = GaussianClock(width=0.01)
+        cfg = EvolutionConfig(step=1e-2, t_min=0.0, t_max=1.0, n_points=101)
+        with pytest.raises(GridConvergenceError, match="base grid"):
+            conditional_probability_analytic(clock, plus_state(), qubit_hamiltonian(1.0),
+                                             query_x(1.4), cfg)
+
+    def test_batch_equals_single_queries(self, rng):
+        clock = GaussianClock(width=0.8)
+        rho = random_pure(rng, 2)
+        h_sys = qubit_hamiltonian(1.3)
+        cfg = analytic_cfg(3.0, 0.8)
+        queries = [query_x(r) for r in (2.5, 3.0, 3.5)]
+        batch = conditional_probabilities_analytic(clock, rho, h_sys, queries, cfg)
+        for query, value in zip(queries, batch):
+            single = conditional_probability_analytic(clock, rho, h_sys, query, cfg)
+            assert abs(value - single) <= 1e-12
+
     def test_result_in_unit_interval(self, rng):
         clock = GaussianClock(width=0.7)
         for _ in range(5):
@@ -148,6 +170,31 @@ class TestQuantumRoute:
             conditional_probability(packet.rho, plus_state(), packet.hamiltonian,
                                     qubit_hamiltonian(0.15), query, cfg)
 
+    def test_batch_equals_single_queries(self, packet):
+        h_sys = qubit_hamiltonian(0.15)
+        rho = plus_state()
+        sites = [self._site_query(packet, target) for target in (8.0, 8.5, 9.0)]
+        queries = [query for query, _ in sites]
+        cfg = self._cfg(packet, sites[1][1])
+        batch = conditional_probabilities(packet.rho, rho, packet.hamiltonian, h_sys,
+                                          queries, cfg)
+        assert len(batch) == 3
+        for query, value in zip(queries, batch):
+            single = conditional_probability(packet.rho, rho, packet.hamiltonian, h_sys,
+                                             query, cfg)
+            assert abs(value - single) <= 1e-12
+
+    @pytest.mark.parametrize("label, t_lo, t_hi", [
+        ("base", -8.0, 432.0),    # the base grid itself crosses the periodic wrap
+        ("doubled", -28.0, 92.0),  # only the doubled grid reaches the wrap
+    ])
+    def test_clock_folding_names_grid(self, packet, label, t_lo, t_hi):
+        query, _ = self._site_query(packet, 8.0)
+        cfg = EvolutionConfig(step=1e-2, t_min=t_lo, t_max=t_hi, n_points=1201)
+        with pytest.raises(ClockFoldingError, match=f"over the {label} grid"):
+            conditional_probability(packet.rho, plus_state(), packet.hamiltonian,
+                                    qubit_hamiltonian(0.15), query, cfg)
+
     def test_window_halfwidth_limit_enforced(self, packet):
         query, reading = self._site_query(packet, 8.0)
         wide = ConditionalQuery(observable=OBS_X, o_center=1.0, o_halfwidth=0.5,
@@ -163,6 +210,14 @@ class TestQuantumRoute:
             conditional_probability(packet.rho, plus_state(), packet.hamiltonian,
                                     qubit_hamiltonian(0.15), query_x(8.0),
                                     self._cfg(packet, 8.0))
+
+
+@pytest.mark.parametrize("n_points", [3, 4, 101, 1003])
+def test_doubled_grid_holds_base_grid(n_points):
+    cfg = EvolutionConfig(step=1e-2, t_min=-1.3, t_max=2.9, n_points=n_points)
+    t, base = _doubled_grid(cfg)
+    assert t[0] == pytest.approx(-3.4) and t[-1] == pytest.approx(5.0)
+    assert np.max(np.abs(t[base] - cfg.grid())) <= 1e-12
 
 
 def test_query_halfwidths_validated():

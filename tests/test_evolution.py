@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
 from realclock_qm import (
     DensityMatrix,
@@ -30,7 +30,8 @@ from realclock_qm import (
     smear_density,
     unitary_evolve,
 )
-from realclock_qm.clocks import ExpansionClock
+from realclock_qm.clocks import ExpansionClock, pdf
+from realclock_qm.evolution import _simpson_weights
 from helpers import plus_state, qubit_hamiltonian, random_density, random_hermitian
 
 QUBIT = qubit_hamiltonian(1.0)
@@ -91,6 +92,38 @@ class TestSmearDensity:
     def test_expansion_clock_unsupported(self):
         with pytest.raises(UnsupportedClockKindError):
             smear_density(plus_state(), QUBIT, constant_width_growth(0.1), 1.0, default_cfg())
+
+
+@pytest.mark.parametrize("n", list(range(2, 10)) + [1003, 4001])
+def test_simpson_weights_match_scipy(n, rng):
+    t = np.linspace(-1.3, 2.7, n)
+    values = rng.normal(size=n)
+    assert _simpson_weights(t) @ values == pytest.approx(simpson(values, x=t), abs=1e-13)
+
+
+def einsum_stack_smear(rho, h, clock, reading, cfg):
+    """The (T, d, d) stack integrated by scipy: the defining integral, term by term."""
+    t = cfg.grid()
+    weights = pdf(clock, reading, t)
+    dec = eigendecompose(h)
+    v = dec.eigenvectors
+    phases = np.exp(-1j * np.outer(t, dec.eigenvalues))
+    stack = np.einsum("tn,nm,tm->tnm", phases, v.conj().T @ rho.matrix @ v, phases.conj())
+    smeared = simpson(stack * weights[:, None, None], x=t, axis=0) / simpson(weights, x=t)
+    return v @ smeared @ v.conj().T
+
+
+@pytest.mark.parametrize("n_points", [1003, 1601])
+def test_gemm_smearing_matches_einsum_stack(n_points):
+    # 1003 points leave an even count (502) for the half-resolution check
+    rng = np.random.default_rng(16)
+    rho = random_density(rng, 16)
+    h = random_hermitian(rng, 16, norm=1.0)
+    clock = GaussianClock(width=1.0)
+    cfg = EvolutionConfig(step=1e-2, t_min=-7.0, t_max=11.0, n_points=n_points)
+    smeared = smear_density(rho, h, clock, 2.0, cfg)
+    reference = einsum_stack_smear(rho, h, clock, 2.0, cfg)
+    assert np.max(np.abs(smeared.matrix - reference)) <= 1e-12
 
 
 class TestMasterStep:
