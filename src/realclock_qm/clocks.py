@@ -22,6 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .core import require_finite
 from .errors import ClockDomainError, UnsupportedClockKindError, ValidationError
 
 
@@ -57,13 +58,17 @@ class GaussianClock:
     peak_rate: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if not callable(self.width) and float(self.width) <= 0:
-            raise ValidationError(f"Gaussian clock width must be positive, got {self.width}")
+        if not callable(self.width) and not 0 < float(self.width) < math.inf:
+            raise ValidationError(
+                f"Gaussian clock width must be positive and finite, got {self.width}"
+            )
 
     def width_at(self, reading: float) -> float:
         w = self.width(reading) if callable(self.width) else float(self.width)
-        if w <= 0:
-            raise ValidationError(f"Gaussian clock width must be positive, got {w} at T={reading}")
+        if not 0 < w < math.inf:
+            raise ValidationError(
+                f"Gaussian clock width must be positive and finite, got {w} at T={reading}"
+            )
         return float(w)
 
 
@@ -94,6 +99,7 @@ class FundamentalLimitClock:
     t_max: float
 
     def __post_init__(self):
+        require_finite(t_planck=self.t_planck, t_max=self.t_max)
         if self.t_planck <= 0:
             raise ValidationError(f"t_planck must be positive, got {self.t_planck}")
 
@@ -103,6 +109,7 @@ ClockModel = Union[IdealClock, GaussianClock, ExpansionClock, FundamentalLimitCl
 
 def constant_width_growth(sigma: float) -> ExpansionClock:
     """Clock whose reading distribution widens at constant rate sigma."""
+    require_finite(sigma=sigma)
     if sigma < 0:
         raise ValidationError(f"width growth rate must be nonnegative, got {sigma}")
     return ExpansionClock(b=lambda T: sigma * T, b_rate=lambda T: sigma)

@@ -8,6 +8,7 @@ All quantities are dimensionless in natural units (hbar = c = 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,15 +33,28 @@ def as_square_complex(entries, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _worst_hermiticity_defect(m: np.ndarray) -> tuple[float, tuple[int, int]]:
-    defect = np.abs(m - m.conj().T)
-    idx = np.unravel_index(int(np.argmax(defect)), defect.shape)
-    return float(defect[idx]), (int(idx[0]), int(idx[1]))
+def require_finite(**values: float) -> None:
+    """Raise ValidationError naming the first keyword whose value is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+
+
+def require_same_dim(rho: "DensityMatrix", operator, name: str) -> None:
+    """Raise DimensionMismatchError unless the operator acts on the state's space."""
+    dim = operator.matrix.shape[0]
+    if rho.dim != dim:
+        raise DimensionMismatchError(f"state dimension {rho.dim} != {name} dimension {dim}")
 
 
 def _require_hermitian(m: np.ndarray, name: str, tol: float = TOL_HERMITIAN) -> None:
-    worst, (i, j) = _worst_hermiticity_defect(m)
-    if worst > tol:
+    defect = np.abs(m - m.conj().T)
+    i, j = np.unravel_index(int(np.argmax(defect)), defect.shape)
+    worst = float(defect[i, j])
+    # negated so that a NaN defect (from a NaN or infinite entry) also fails
+    if not worst <= tol:
+        if not math.isfinite(worst):
+            raise ValidationError(f"{name} has a non-finite entry at ({i}, {j})")
         raise ValidationError(
             f"{name} is not Hermitian: entry ({i}, {j}) deviates from the "
             f"conjugate of ({j}, {i}) by {worst:.3e} (tol {tol:.1e})"
@@ -73,12 +87,12 @@ class DensityMatrix:
         m = as_square_complex(self.matrix, "density matrix")
         _require_hermitian(m, "density matrix")
         tr = np.trace(m)
-        if abs(tr.imag) > TOL_TRACE or abs(tr.real - 1.0) > TOL_TRACE:
+        if not (abs(tr.imag) <= TOL_TRACE and abs(tr.real - 1.0) <= TOL_TRACE):
             raise ValidationError(
                 f"density matrix trace must be 1, got {tr:.12g} (tol {TOL_TRACE:.1e})"
             )
         lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -TOL_PSD:
+        if not lo >= -TOL_PSD:
             raise ValidationError(
                 f"density matrix has negative eigenvalue {lo:.3e} (tol {TOL_PSD:.1e})"
             )
@@ -113,7 +127,7 @@ class Projector:
         m = as_square_complex(self.matrix, "projector")
         _require_hermitian(m, "projector")
         defect = float(np.max(np.abs(m @ m - m)))
-        if defect > TOL_IDEMPOTENT:
+        if not defect <= TOL_IDEMPOTENT:
             raise ValidationError(
                 f"projector is not idempotent: max |P^2 - P| = {defect:.3e} "
                 f"(tol {TOL_IDEMPOTENT:.1e})"
@@ -159,6 +173,44 @@ class EnergyDecomposition:
         w = self.eigenvalues
         return w[:, None] - w[None, :]
 
+    def to_eig(self, m: np.ndarray) -> np.ndarray:
+        """V^dagger m V: a matrix, or a stack of them, in the energy eigenbasis."""
+        v = self.eigenvectors
+        return v.conj().T @ m @ v
+
+    def from_eig(self, m: np.ndarray) -> np.ndarray:
+        """V m V^dagger: back from the energy eigenbasis; inverse of to_eig."""
+        v = self.eigenvectors
+        return v @ m @ v.conj().T
+
+    def kernel(self, t, exponent=0.0) -> np.ndarray:
+        """exp(-i B t - B^2 exponent) for the Bohr matrix B.
+
+        This factor multiplies rho_nm in the energy eigenbasis on every exact
+        route: exponent 0 is unitary evolution, and a clock whose reading
+        width has grown by ``exponent`` adds the decay e^{-w_nm^2 exponent}.
+        ``t`` and ``exponent`` broadcast; each array axis of theirs leads the
+        (dim, dim) result.
+        """
+        b = self.bohr_frequencies
+        t = np.asarray(t, dtype=float)[..., None, None]
+        exponent = np.asarray(exponent, dtype=float)[..., None, None]
+        return np.exp(-1j * b * t - b * b * exponent)
+
+    def projector(self, center: float, halfwidth: float) -> Projector:
+        """Projector onto eigenvectors with eigenvalue in [center - hw, center + hw].
+
+        The selection compares eigenvalues only, so within a degenerate
+        subspace either every eigenvector is included or none is; the result
+        is therefore basis independent. An empty selection yields the zero
+        matrix.
+        """
+        require_finite(center=center, halfwidth=halfwidth)
+        if halfwidth <= 0:
+            raise ValidationError(f"halfwidth must be positive, got {halfwidth}")
+        cols = self.eigenvectors[:, np.abs(self.eigenvalues - center) <= halfwidth]
+        return Projector(matrix=cols @ cols.conj().T, interval=(center, halfwidth))
+
 
 def eigendecompose(operator: HermitianOperator) -> EnergyDecomposition:
     """Spectral decomposition with ascending eigenvalues.
@@ -179,19 +231,9 @@ def eigendecompose(operator: HermitianOperator) -> EnergyDecomposition:
 
 
 def build_projector(operator: HermitianOperator, center: float, halfwidth: float) -> Projector:
-    """Projector onto eigenvectors with eigenvalue in [center - hw, center + hw].
-
-    The selection compares eigenvalues only, so within a degenerate subspace
-    either every eigenvector is included or none is; the result is therefore
-    basis independent. An empty selection yields the zero matrix.
-    """
-    if halfwidth <= 0:
-        raise ValidationError(f"halfwidth must be positive, got {halfwidth}")
-    dec = eigendecompose(operator)
-    mask = np.abs(dec.eigenvalues - center) <= halfwidth
-    cols = dec.eigenvectors[:, mask]
-    p = cols @ cols.conj().T
-    return Projector(matrix=p, interval=(center, halfwidth))
+    """Projector onto the eigenvalue window of one operator; see
+    EnergyDecomposition.projector, which serves many windows of one operator."""
+    return eigendecompose(operator).projector(center, halfwidth)
 
 
 def unitary_evolve(rho0: DensityMatrix, hamiltonian: HermitianOperator, t: float) -> DensityMatrix:
@@ -201,16 +243,9 @@ def unitary_evolve(rho0: DensityMatrix, hamiltonian: HermitianOperator, t: float
     Computed through the eigendecomposition of H (exact for Hermitian H),
     which preserves the spectrum of rho up to roundoff.
     """
-    if rho0.dim != hamiltonian.dim:
-        raise DimensionMismatchError(
-            f"state dimension {rho0.dim} != Hamiltonian dimension {hamiltonian.dim}"
-        )
+    require_same_dim(rho0, hamiltonian, "Hamiltonian")
     dec = eigendecompose(hamiltonian)
-    v = dec.eigenvectors
-    rho_eig = v.conj().T @ rho0.matrix @ v
-    phases = np.exp(-1j * dec.bohr_frequencies * t)
-    evolved = v @ (rho_eig * phases) @ v.conj().T
-    return DensityMatrix(evolved)
+    return DensityMatrix(dec.from_eig(dec.to_eig(rho0.matrix) * dec.kernel(t)))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

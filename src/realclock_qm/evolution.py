@@ -5,9 +5,11 @@ Three routes are implemented and cross-checked against each other:
 * smear_density    -- mixture of sharply evolved states weighted by the
                       clock-reading density (the defining integral).
 * evolve_master    -- differential form: d(rho)/dT = -i[H, rho]
-                      - sigma(T) [H, [H, rho]], stepped with classical RK4;
-                      fundamental-limit clocks use exact per-interval
-                      factors in the energy eigenbasis instead.
+                      - sigma(T) [H, [H, rho]], stepped with classical RK4
+                      for expansion clocks; ideal and fundamental-limit
+                      clocks use its closed form in the energy eigenbasis,
+                      rho_nm(T) = rho_nm(0) e^{-i w_nm T} e^{-w_nm^2 Sigma(T)},
+                      at every output time at once.
 * analytic_offdiagonal / fundamental_decay_factor -- closed forms for the
                       off-diagonal elements, used as oracles.
 
@@ -39,15 +41,15 @@ from .core import (
     EnergyDecomposition,
     HermitianOperator,
     Projector,
-    build_projector,
     commutator,
     eigendecompose,
+    require_finite,
+    require_same_dim,
     unitary_evolve,
 )
 from .errors import (
     ClockFoldingError,
     DegenerateStateError,
-    DimensionMismatchError,
     GridConvergenceError,
     InsufficientGridError,
     IntegrationFailureError,
@@ -55,8 +57,6 @@ from .errors import (
     UnsupportedClockKindError,
     ValidationError,
 )
-
-STEPPER_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,8 @@ class EvolutionConfig:
     quad_tol: float = 1e-8
 
     def __post_init__(self):
+        require_finite(step=self.step, t_min=self.t_min, t_max=self.t_max,
+                       quad_tol=self.quad_tol)
         if self.step <= 0:
             raise ValidationError(f"step must be positive, got {self.step}")
         if self.n_points < 3:
@@ -97,6 +99,8 @@ class ConditionalQuery:
     clock_operator: HermitianOperator | None = None
 
     def __post_init__(self):
+        require_finite(o_center=self.o_center, o_halfwidth=self.o_halfwidth,
+                       t_center=self.t_center, t_halfwidth=self.t_halfwidth)
         if self.o_halfwidth <= 0 or self.t_halfwidth <= 0:
             raise ValidationError("query halfwidths must be positive")
 
@@ -141,14 +145,12 @@ def _trace_curves(
     e^{-i(omega_n - omega_m) t}; the phase table is shared between the ops
     and the contraction runs as one BLAS product and one row-wise dot per op.
     """
-    v = decomp.eigenvectors
-    rho_eig = v.conj().T @ rho.matrix @ v
+    rho_eig = decomp.to_eig(rho.matrix)
     phases = _phase_table(decomp, t)
     phases_conj = phases.conj()
     curves = []
     for op in ops:
-        op_eig = v.conj().T @ op @ v
-        coeff = rho_eig * op_eig.T
+        coeff = rho_eig * decomp.to_eig(op).T
         curves.append(np.real(np.einsum("tn,tn->t", phases @ coeff, phases_conj)))
     return curves
 
@@ -178,10 +180,7 @@ def smear_density(
     output is divided by the computed weight, which enforces the trace
     identity Tr(rho(T)) = Tr(rho_sys) exactly.
     """
-    if rho_sys.dim != hamiltonian.dim:
-        raise DimensionMismatchError(
-            f"state dimension {rho_sys.dim} != Hamiltonian dimension {hamiltonian.dim}"
-        )
+    require_same_dim(rho_sys, hamiltonian, "Hamiltonian")
     if isinstance(clock, IdealClock):
         return unitary_evolve(rho_sys, hamiltonian, reading)
     if not isinstance(clock, GaussianClock):
@@ -198,8 +197,7 @@ def smear_density(
             f"instead of 1 (tol {cfg.quad_tol:.1e}); widen or refine it"
         )
     dec = eigendecompose(hamiltonian)
-    v = dec.eigenvectors
-    rho_eig = v.conj().T @ rho_sys.matrix @ v
+    rho_eig = dec.to_eig(rho_sys.matrix)
     phases = _phase_table(dec, t)
     # rho~(T)_nm = rho~_nm * integral of P_t(T) e^{-i omega_nm t} dt
     fine = _smearing_kernel(phases, simpson_w * weights)
@@ -209,8 +207,7 @@ def smear_density(
         raise InsufficientGridError(
             "grid too coarse for the requested quadrature tolerance; refine it"
         )
-    smeared_eig = rho_eig * fine / mass
-    return DensityMatrix(v @ smeared_eig @ v.conj().T)
+    return DensityMatrix(dec.from_eig(rho_eig * fine / mass))
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +215,22 @@ def smear_density(
 # ---------------------------------------------------------------------------
 
 
-def _master_rhs(rho: np.ndarray, h_mat: np.ndarray, sig: float) -> np.ndarray:
+def _master_rhs(rho: np.ndarray, h_mat: np.ndarray, sig: float, drift: float) -> np.ndarray:
+    """-i drift [H, rho] - sig [H, [H, rho]]; both terms share the commutator."""
     c = h_mat @ rho - rho @ h_mat
     out = -1j * c
+    if drift != 1.0:
+        out *= drift
     if sig != 0.0:
         out -= sig * (h_mat @ c - c @ h_mat)
     return out
 
 
-def _rk4_step(rho: np.ndarray, h_mat: np.ndarray, sig: float, h: float) -> np.ndarray:
-    k1 = _master_rhs(rho, h_mat, sig)
-    k2 = _master_rhs(rho + 0.5 * h * k1, h_mat, sig)
-    k3 = _master_rhs(rho + 0.5 * h * k2, h_mat, sig)
-    k4 = _master_rhs(rho + h * k3, h_mat, sig)
+def _rk4_step(rho: np.ndarray, h_mat: np.ndarray, sig: float, drift: float, h: float) -> np.ndarray:
+    k1 = _master_rhs(rho, h_mat, sig, drift)
+    k2 = _master_rhs(rho + 0.5 * h * k1, h_mat, sig, drift)
+    k3 = _master_rhs(rho + 0.5 * h * k2, h_mat, sig, drift)
+    k4 = _master_rhs(rho + h * k3, h_mat, sig, drift)
     out = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     out = 0.5 * (out + out.conj().T)
     return out / np.real(np.trace(out))
@@ -238,15 +238,6 @@ def _rk4_step(rho: np.ndarray, h_mat: np.ndarray, sig: float, h: float) -> np.nd
 
 def _spectral_norm(h_mat: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(h_mat))))
-
-
-def _check_step_size(h: float, h_norm: float, sig: float) -> None:
-    stiffness = h * (h_norm * h_norm * sig + h_norm)
-    if stiffness >= 0.1:
-        raise ValidationError(
-            f"step too large for this Hamiltonian/width-rate: "
-            f"h*(|H|^2 sigma + |H|) = {stiffness:.3g} >= 0.1"
-        )
 
 
 def master_step(
@@ -273,47 +264,27 @@ def master_step(
     the verified contracts. ``h_norm`` lets trajectory drivers reuse the
     spectral norm of H for the step-size check.
     """
-    if rho.dim != hamiltonian.dim:
-        raise DimensionMismatchError(
-            f"state dimension {rho.dim} != Hamiltonian dimension {hamiltonian.dim}"
-        )
+    require_same_dim(rho, hamiltonian, "Hamiltonian")
     if sigma_value < 0:
         raise ValidationError(f"sigma must be nonnegative, got {sigma_value}")
     if h <= 0:
         raise ValidationError(f"step must be positive, got {h}")
     if h_norm is None:
         h_norm = _spectral_norm(hamiltonian.matrix)
-    _check_step_size(h, h_norm, sigma_value)
-    if drift_a == 0.0 and drift_a_rate == 0.0:
-        raw = _rk4_step(rho.matrix, hamiltonian.matrix, sigma_value, h)
-    else:
-        h_eff = (1.0 - drift_a_rate) * hamiltonian.matrix
-        raw = _rk4_step_general(rho.matrix, hamiltonian.matrix, h_eff,
-                                sigma_value - drift_a, h)
+    stiffness = h * (h_norm * h_norm * sigma_value + h_norm)
+    if stiffness >= 0.1:
+        raise ValidationError(
+            f"step too large for this Hamiltonian/width-rate: "
+            f"h*(|H|^2 sigma + |H|) = {stiffness:.3g} >= 0.1"
+        )
+    raw = _rk4_step(rho.matrix, hamiltonian.matrix, sigma_value - drift_a,
+                    1.0 - drift_a_rate, h)
     try:
         return DensityMatrix(raw)
     except ValidationError as exc:
         raise IntegrationFailureError(
             f"step produced an invalid state ({exc}); try a smaller step"
         ) from exc
-
-
-def _general_rhs(rho, h_mat, drift_mat, sig):
-    out = -1j * (drift_mat @ rho - rho @ drift_mat)
-    if sig != 0.0:
-        c = h_mat @ rho - rho @ h_mat
-        out -= sig * (h_mat @ c - c @ h_mat)
-    return out
-
-
-def _rk4_step_general(rho, h_mat, drift_mat, sig, h):
-    k1 = _general_rhs(rho, h_mat, drift_mat, sig)
-    k2 = _general_rhs(rho + 0.5 * h * k1, h_mat, drift_mat, sig)
-    k3 = _general_rhs(rho + 0.5 * h * k2, h_mat, drift_mat, sig)
-    k4 = _general_rhs(rho + h * k3, h_mat, drift_mat, sig)
-    out = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    out = 0.5 * (out + out.conj().T)
-    return out / np.real(np.trace(out))
 
 
 def evolve_master(
@@ -325,20 +296,17 @@ def evolve_master(
 ) -> list[tuple[float, DensityMatrix]]:
     """Trajectory of the modified evolution from T = 0 to T = t_final.
 
-    Expansion clocks supply sigma(T) per step (evaluated at the step
-    midpoint); the ideal clock is the sigma = 0 limit. Fundamental-limit
-    clocks are propagated exactly in the energy eigenbasis by multiplying
-    each off-diagonal element per interval with
-    exp(-i omega_nm dT) * exp(-omega_nm^2 * d(exponent)), where the
-    exponent is T_P^(4/3) T^(2/3); pointwise sigma stepping would be
+    Expansion clocks supply sigma(T) per RK4 step (evaluated at the step
+    midpoint). Ideal and fundamental-limit clocks take the closed form in
+    the energy eigenbasis instead, evaluated at every output time in one
+    broadcast: rho_nm(T) = rho_nm(0) exp(-i omega_nm T - omega_nm^2 Sigma(T)),
+    with Sigma = 0 for the ideal clock and Sigma = T_P^(4/3) T^(2/3) for the
+    fundamental limit, where pointwise sigma stepping would be
     ill-conditioned near the clock horizon.
     """
     if t_final < 0:
         raise ValidationError(f"t_final must be nonnegative, got {t_final}")
-    if rho0.dim != hamiltonian.dim:
-        raise DimensionMismatchError(
-            f"state dimension {rho0.dim} != Hamiltonian dimension {hamiltonian.dim}"
-        )
+    require_same_dim(rho0, hamiltonian, "Hamiltonian")
     if t_final == 0:
         return [(0.0, rho0)]
 
@@ -352,15 +320,11 @@ def evolve_master(
             raise ValidationError(
                 f"t_final={t_final} must stay below the clock horizon t_max={clock.t_max}"
             )
-        return _evolve_fundamental(rho0, hamiltonian, clock, times)
-
+        exponents = [decoherence_exponent(1.0, t, clock.t_planck) for t in times]
+        return _evolve_exact(rho0, hamiltonian, times, exponents)
     if isinstance(clock, IdealClock):
-        sigma_of = lambda T: 0.0  # noqa: E731 - delta-sharp clock never widens
-        drift_of = None
-    elif isinstance(clock, ExpansionClock):
-        sigma_of = lambda T: sigma(clock, T)  # noqa: E731
-        drift_of = _expansion_drift(clock)
-    else:
+        return _evolve_exact(rho0, hamiltonian, times, 0.0)
+    if not isinstance(clock, ExpansionClock):
         raise UnsupportedClockKindError(
             f"master evolution supports ideal, expansion and fundamental-limit "
             f"clocks, not {type(clock).__name__}"
@@ -371,46 +335,29 @@ def evolve_master(
     state = rho0
     for k in range(n_steps):
         mid = times[k] + 0.5 * h
-        drift_a, drift_a_rate = drift_of(mid) if drift_of else (0.0, 0.0)
-        state = master_step(state, hamiltonian, sigma_of(mid), h,
+        drift_a, drift_a_rate = _expansion_drift(clock, mid)
+        state = master_step(state, hamiltonian, sigma(clock, mid), h,
                             drift_a=drift_a, drift_a_rate=drift_a_rate, h_norm=h_norm)
         trajectory.append((times[k + 1], state))
     return trajectory
 
 
-def _expansion_drift(clock: ExpansionClock):
-    """Asymmetry coefficient a(T) and its rate, when the clock declares one."""
+def _expansion_drift(clock: ExpansionClock, reading: float) -> tuple[float, float]:
+    """Asymmetry coefficient a(T) and its rate; zero when the clock declares none."""
     if clock.a is None:
-        return None
-
-    def drift(reading: float) -> tuple[float, float]:
-        step = 1e-6 * max(1.0, abs(reading))
-        rate = (clock.a(reading + step) - clock.a(reading - step)) / (2 * step)
-        return float(clock.a(reading)), float(rate)
-
-    return drift
+        return 0.0, 0.0
+    step = 1e-6 * max(1.0, abs(reading))
+    rate = (clock.a(reading + step) - clock.a(reading - step)) / (2 * step)
+    return float(clock.a(reading)), float(rate)
 
 
-def _evolve_fundamental(
-    rho0: DensityMatrix,
-    hamiltonian: HermitianOperator,
-    clock: FundamentalLimitClock,
-    times: list[float],
-) -> list[tuple[float, DensityMatrix]]:
+def _evolve_exact(rho0: DensityMatrix, hamiltonian: HermitianOperator, times: list[float],
+                  exponent: float | list[float]) -> list[tuple[float, DensityMatrix]]:
+    """rho(T) = from_eig(to_eig(rho0) * kernel(T, exponent)) at every time;
+    ``exponent`` is a scalar or one value per time."""
     dec = eigendecompose(hamiltonian)
-    v = dec.eigenvectors
-    bohr = dec.bohr_frequencies
-    bohr_sq = bohr * bohr
-    rho_eig = v.conj().T @ rho0.matrix @ v
-    trajectory = [(times[0], rho0)]
-    exponent_prev = decoherence_exponent(1.0, times[0], clock.t_planck)
-    for t_prev, t_next in zip(times[:-1], times[1:]):
-        exponent_next = decoherence_exponent(1.0, t_next, clock.t_planck)
-        factor = np.exp(-1j * bohr * (t_next - t_prev) - bohr_sq * (exponent_next - exponent_prev))
-        rho_eig = rho_eig * factor
-        exponent_prev = exponent_next
-        trajectory.append((t_next, DensityMatrix(v @ rho_eig @ v.conj().T)))
-    return trajectory
+    states = dec.from_eig(dec.to_eig(rho0.matrix) * dec.kernel(times, exponent))
+    return [(times[0], rho0)] + [(t, DensityMatrix(m)) for t, m in zip(times[1:], states[1:])]
 
 
 def analytic_offdiagonal(rho0_nm: complex, omega_nm: float, sig: float, t: float) -> complex:
@@ -435,10 +382,7 @@ def fundamental_decay_factor(omega_nm: float, t: float, t_planck: float) -> floa
 
 def ordinary_probability(rho: DensityMatrix, window: Projector) -> float:
     """Tr(P rho) / Tr(rho): probability of the projected outcome."""
-    if rho.dim != window.matrix.shape[0]:
-        raise DimensionMismatchError(
-            f"state dimension {rho.dim} != projector dimension {window.matrix.shape[0]}"
-        )
+    require_same_dim(rho, window, "projector")
     tr = float(np.real(np.trace(rho.matrix)))
     if tr <= 0:
         raise DegenerateStateError("state has nonpositive trace")
@@ -454,6 +398,16 @@ def _doubled_grid(cfg: EvolutionConfig) -> tuple[np.ndarray, slice]:
     half = cfg.t_max - cfg.t_min  # doubled span, same spacing
     start = (n - 1) // 2
     return np.linspace(center - half, center + half, 2 * n - 1), slice(start, start + n)
+
+
+def _window_matrices(windows: list[tuple[HermitianOperator, float, float]]) -> list[np.ndarray]:
+    """Projector matrix per (operator, center, halfwidth), decomposing each
+    distinct operator once."""
+    decomps: dict[int, EnergyDecomposition] = {}
+    for operator, _, _ in windows:
+        if id(operator) not in decomps:
+            decomps[id(operator)] = eigendecompose(operator)
+    return [decomps[id(op)].projector(center, hw).matrix for op, center, hw in windows]
 
 
 def _conditional_ratio(
@@ -479,7 +433,7 @@ def _relational_ratios(
 ) -> list[float]:
     """Ratio of ideal-time integrals per query, given each query's clock
     weight on the doubled grid; accepted only if the base grid agrees."""
-    windows = [build_projector(q.observable, q.o_center, q.o_halfwidth).matrix for q in queries]
+    windows = _window_matrices([(q.observable, q.o_center, q.o_halfwidth) for q in queries])
     p_sys_curves = _trace_curves(rho_sys, windows, eigendecompose(h_sys), t)
     w_base, w_wide = _simpson_weights(t[base]), _simpson_weights(t)
     results = []
@@ -523,9 +477,7 @@ def conditional_probabilities(
         _require_narrow_reading_window(query, cfg)
     t, base = _doubled_grid(cfg)
     readers = list({id(q.clock_operator): q.clock_operator.matrix for q in queries}.values())
-    windows = [
-        build_projector(q.clock_operator, q.t_center, q.t_halfwidth).matrix for q in queries
-    ]
+    windows = _window_matrices([(q.clock_operator, q.t_center, q.t_halfwidth) for q in queries])
     curves = _trace_curves(rho_cl, readers + windows, eigendecompose(h_cl), t)
     for readings in curves[: len(readers)]:
         for label, span in (("base", base), ("doubled", slice(None))):

@@ -46,17 +46,19 @@ class SpinBath:
         be = np.array(self.betas, dtype=complex)
         if g.ndim != 1 or g.size < 1:
             raise ValidationError("need at least one environment atom")
+        if not np.all(np.isfinite(g)):
+            raise ValidationError(f"couplings must be finite, got {g}")
         if al.shape != g.shape or be.shape != g.shape:
             raise ValidationError("couplings and amplitude arrays must have equal length")
         norms = np.abs(al) ** 2 + np.abs(be) ** 2
         worst = int(np.argmax(np.abs(norms - 1.0)))
-        if abs(norms[worst] - 1.0) > NORMALIZATION_TOL:
+        if not abs(norms[worst] - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
             raise ValidationError(
                 f"atom {worst} amplitudes are not normalized: |alpha|^2+|beta|^2 = "
                 f"{norms[worst]:.15g}"
             )
         sys_norm = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(sys_norm - 1.0) > NORMALIZATION_TOL:
+        if not abs(sys_norm - 1.0) <= NORMALIZATION_TOL:
             raise ValidationError(
                 f"system amplitudes are not normalized: |a|^2+|b|^2 = {sys_norm:.15g}"
             )

@@ -191,3 +191,28 @@ def test_sigma_nonnegative_everywhere(rng):
     for clock in clocks:
         for T in rng.uniform(0.0, 10.0, size=20):
             assert sigma(clock, float(T)) >= 0.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda bad: GaussianClock(width=bad),
+    lambda bad: GaussianClock(width=lambda T: bad).width_at(1.0),
+], ids=["constant", "callable"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_gaussian_width_must_be_finite(make, bad):
+    with pytest.raises(ValidationError, match="positive and finite"):
+        make(bad)
+
+
+@pytest.mark.parametrize("field", ["t_planck", "t_max"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_fundamental_limit_clock_rejects_non_finite(field, bad):
+    params = dict(t_planck=1e-2, t_max=20.0)
+    params[field] = bad
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        FundamentalLimitClock(**params)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_constant_width_growth_rejects_non_finite(bad):
+    with pytest.raises(ValidationError, match="sigma must be finite"):
+        constant_width_growth(bad)

@@ -15,10 +15,12 @@ from realclock_qm import (
     conditional_probabilities_analytic,
     conditional_probability,
     conditional_probability_analytic,
+    eigendecompose,
     make_wavepacket_clock,
     ordinary_probability,
     smear_density,
 )
+from realclock_qm import evolution
 from realclock_qm.evolution import _doubled_grid
 from helpers import PAULI_X, plus_state, qubit_hamiltonian, random_hermitian, random_pure
 
@@ -184,6 +186,22 @@ class TestQuantumRoute:
                                              query, cfg)
             assert abs(value - single) <= 1e-12
 
+    def test_batch_decomposes_each_operator_once(self, packet, monkeypatch):
+        decomposed = []
+
+        def counting(operator):
+            decomposed.append(operator)
+            return eigendecompose(operator)
+
+        monkeypatch.setattr(evolution, "eigendecompose", counting)
+        sites = [self._site_query(packet, target) for target in (8.0, 8.5, 9.0)]
+        conditional_probabilities(packet.rho, plus_state(), packet.hamiltonian,
+                                  qubit_hamiltonian(0.15), [q for q, _ in sites],
+                                  self._cfg(packet, sites[1][1]))
+        assert sum(op is packet.reading_operator for op in decomposed) == 1
+        assert sum(op is OBS_X for op in decomposed) == 1
+        assert sum(op.dim == 256 for op in decomposed) == 2
+
     @pytest.mark.parametrize("label, t_lo, t_hi", [
         ("base", -8.0, 432.0),    # the base grid itself crosses the periodic wrap
         ("doubled", -28.0, 92.0),  # only the doubled grid reaches the wrap
@@ -232,3 +250,13 @@ def test_query_halfwidths_validated():
 def test_wavepacket_clock_momentum_zone_guard():
     with pytest.raises(ValidationError, match="momentum"):
         make_wavepacket_clock(n=64, length=70.0, mass=40.0, sigma0=2.0, velocity=0.25)
+
+
+@pytest.mark.parametrize("field", ["o_center", "o_halfwidth", "t_center", "t_halfwidth"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_query_rejects_non_finite(field, value):
+    params = dict(observable=OBS_X, o_center=0.0, o_halfwidth=0.5, t_center=0.0,
+                  t_halfwidth=0.1)
+    params[field] = value
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        ConditionalQuery(**params)

@@ -45,6 +45,22 @@ class TestTypes:
         with pytest.raises(ValidationError, match="idempotent"):
             Projector(matrix=np.diag([0.5, 0.5]), interval=(0.0, 1.0))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"), complex(1.0, float("nan"))])
+    def test_hermitian_rejects_non_finite_entry(self, entry):
+        with pytest.raises(ValidationError, match=r"non-finite entry at \(1, 1\)"):
+            HermitianOperator(np.array([[1.0, 0.0], [0.0, entry]]))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("matrix", [
+        [[float("nan"), 0.0], [0.0, 1.0]],
+        [[0.5, float("inf")], [float("inf"), 0.5]],
+        [[0.5, complex(0.0, float("nan"))], [complex(0.0, float("nan")), 0.5]],
+    ])
+    def test_density_rejects_non_finite_entry(self, matrix):
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityMatrix(np.array(matrix))
+
     def test_matrices_are_read_only(self):
         op = HermitianOperator(np.diag([1.0, 2.0]))
         with pytest.raises(ValueError):
@@ -76,6 +92,41 @@ class TestEigendecompose:
     def test_degenerate_eigenvalues_allowed(self):
         dec = eigendecompose(HermitianOperator(np.diag([1.0, 1.0, 2.0])))
         assert np.allclose(dec.eigenvalues, [1.0, 1.0, 2.0])
+
+    def test_basis_change_round_trip(self, rng):
+        h = random_hermitian(rng, 5, norm=2.0)
+        dec = eigendecompose(h)
+        m = random_density(rng, 5).matrix
+        assert np.max(np.abs(dec.from_eig(dec.to_eig(m)) - m)) <= 1e-13
+        assert np.max(np.abs(dec.to_eig(dec.from_eig(m)) - m)) <= 1e-13
+        assert np.max(np.abs(dec.to_eig(h.matrix) - np.diag(dec.eigenvalues))) <= 1e-12
+
+    def test_basis_change_broadcasts_over_stack(self, rng):
+        dec = eigendecompose(random_hermitian(rng, 4, norm=2.0))
+        stack = np.array([random_density(rng, 4).matrix for _ in range(3)])
+        for to_stack, from_stack, m in zip(dec.to_eig(stack), dec.from_eig(stack), stack):
+            assert np.max(np.abs(to_stack - dec.to_eig(m))) <= 1e-14
+            assert np.max(np.abs(from_stack - dec.from_eig(m))) <= 1e-14
+
+    def test_kernel_broadcasts_over_times_and_exponents(self):
+        dec = eigendecompose(HermitianOperator(np.diag([0.0, 1.0, 3.0])))
+        t = np.array([0.0, 0.5, 2.0])
+        exponent = np.array([0.0, 0.1, 0.4])
+        k = dec.kernel(t, exponent)
+        assert k.shape == (3, 3, 3)
+        for tk, ek, kk in zip(t, exponent, k):
+            b = dec.bohr_frequencies
+            assert np.max(np.abs(kk - np.exp(-1j * b * tk) * np.exp(-b * b * ek))) <= 1e-15
+        assert abs(k[2, 2, 0] - np.exp(-6j - 9 * 0.4)) <= 1e-15
+
+    def test_projector_matches_build_projector(self, rng):
+        a = random_hermitian(rng, 6, norm=2.0)
+        dec = eigendecompose(a)
+        for center, halfwidth in ((-1.0, 0.5), (0.3, 0.9), (5.0, 0.1)):
+            window = dec.projector(center, halfwidth)
+            reference = build_projector(a, center, halfwidth)
+            assert window.interval == reference.interval
+            assert np.max(np.abs(window.matrix - reference.matrix)) <= 1e-14
 
 
 class TestBuildProjector:
@@ -110,6 +161,13 @@ class TestBuildProjector:
     def test_nonpositive_halfwidth_rejected(self):
         with pytest.raises(ValidationError, match="halfwidth"):
             build_projector(HermitianOperator(np.eye(2)), 0.0, 0.0)
+
+    @pytest.mark.parametrize("center, halfwidth", [
+        (0.0, float("nan")), (0.0, float("inf")), (float("nan"), 0.5),
+    ])
+    def test_non_finite_window_rejected(self, center, halfwidth):
+        with pytest.raises(ValidationError, match="finite"):
+            build_projector(HermitianOperator(np.eye(2)), center, halfwidth)
 
 
 class TestUnitaryEvolve:

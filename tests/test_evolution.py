@@ -8,6 +8,7 @@ from scipy.integrate import quad, simpson
 
 from realclock_qm import (
     DensityMatrix,
+    DimensionMismatchError,
     EvolutionConfig,
     FundamentalLimitClock,
     GaussianClock,
@@ -148,6 +149,28 @@ class TestMasterStep:
         # oracle: arbitrary-precision e^{-i} e^{-0.25} / 2
         oracle = mpmath.mpf("0.5") * mpmath.exp(-1j * mpmath.mpf(1)) * mpmath.exp(mpmath.mpf("-0.25"))
         assert abs(state.matrix[1, 0] - complex(oracle)) <= 1e-8
+
+    def test_drift_scales_the_unitary_term(self, rng):
+        # independently written right-hand side for an asymmetric reading
+        # distribution: -i (1 - a') [H, r] - (sigma - a) [H, [H, r]]
+        rho = random_density(rng, 3)
+        h = random_hermitian(rng, 3, norm=1.0)
+        sig, a, a_rate, dt = 0.3, 0.1, 0.2, 1e-3
+
+        def rhs(r):
+            d = h.matrix
+            comm = d @ r - r @ d
+            return -1j * (1.0 - a_rate) * comm - (sig - a) * (d @ comm - comm @ d)
+
+        k1 = rhs(rho.matrix)
+        k2 = rhs(rho.matrix + 0.5 * dt * k1)
+        k3 = rhs(rho.matrix + 0.5 * dt * k2)
+        k4 = rhs(rho.matrix + dt * k3)
+        expected = rho.matrix + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        expected = 0.5 * (expected + expected.conj().T)
+        expected /= np.trace(expected).real
+        stepped = master_step(rho, h, sig, dt, drift_a=a, drift_a_rate=a_rate)
+        assert np.max(np.abs(stepped.matrix - expected)) <= 1e-14
 
     def test_step_size_precondition(self):
         with pytest.raises(ValidationError, match="step too large"):
@@ -310,6 +333,38 @@ class TestEvolveMaster:
             errors.append(err)
         assert errors[0] / errors[1] >= 12.8
 
+    def test_ideal_clock_equals_unitary_evolve_at_every_time(self, rng):
+        h = random_hermitian(rng, 4, norm=2.0)
+        rho = random_density(rng, 4)
+        traj = evolve_master(rho, h, IdealClock(), 3.0, default_cfg(step=0.05))
+        assert len(traj) == 61
+        for T, state in traj:
+            assert np.max(np.abs(state.matrix - unitary_evolve(rho, h, T).matrix)) <= 1e-12
+
+    def test_ideal_clock_accepts_large_steps(self):
+        # the closed form has no stability limit, unlike the RK4 route
+        traj = evolve_master(plus_state(), qubit_hamiltonian(10.0), IdealClock(), 2.0,
+                             default_cfg(step=0.5))
+        assert [T for T, _ in traj] == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert traj[-1][1].matrix[1, 0] == pytest.approx(0.5 * np.exp(-20j), abs=1e-12)
+
+    def test_fundamental_route_matches_decay_factor_at_every_sample(self, rng):
+        h = random_hermitian(rng, 3, norm=2.0)
+        rho = random_density(rng, 3)
+        clock = FundamentalLimitClock(t_planck=2e-2, t_max=10.0)
+        dec = eigendecompose(h)
+        v, bohr = dec.eigenvectors, dec.bohr_frequencies
+        rho_eig0 = v.conj().T @ rho.matrix @ v
+        traj = evolve_master(rho, h, clock, 6.0, default_cfg(step=0.1))
+        assert len(traj) == 61
+        for T, state in traj:
+            rho_eig = v.conj().T @ state.matrix @ v
+            for n in range(3):
+                for m in range(3):
+                    expected = (rho_eig0[n, m] * np.exp(-1j * bohr[n, m] * T)
+                                * fundamental_decay_factor(bohr[n, m], T, clock.t_planck))
+                    assert abs(rho_eig[n, m] - expected) <= 1e-12
+
 
 class TestClosedForms:
     def test_diagonal_element_is_constant(self):
@@ -410,3 +465,25 @@ def test_integration_failure_names_the_step():
         state = plus_state()
         for _ in range(50):
             state = master_step(state, QUBIT, 0.0, 1e-2, drift_a=0.5)
+
+
+@pytest.mark.parametrize("field", ["step", "t_min", "t_max", "quad_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_evolution_config_rejects_non_finite(field, value):
+    params = dict(step=1e-2, t_min=-1.0, t_max=1.0, n_points=11, quad_tol=1e-8)
+    params[field] = value
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        EvolutionConfig(**params)
+
+
+@pytest.mark.parametrize("route", [
+    lambda rho, h: smear_density(rho, h, GaussianClock(width=0.5), 1.0, default_cfg()),
+    lambda rho, h: master_step(rho, h, 0.1, 1e-3),
+    lambda rho, h: evolve_master(rho, h, constant_width_growth(0.1), 1.0, default_cfg()),
+    lambda rho, h: evolve_master(rho, h, IdealClock(), 1.0, default_cfg()),
+    lambda rho, h: ordinary_probability(rho, build_projector(h, 0.0, 1.0)),
+], ids=["smear_density", "master_step", "evolve_master", "evolve_master_ideal",
+        "ordinary_probability"])
+def test_dimension_mismatch_rejected(route, rng):
+    with pytest.raises(DimensionMismatchError, match="state dimension 2 != .* dimension 3"):
+        route(plus_state(), random_hermitian(rng, 3))

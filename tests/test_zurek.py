@@ -286,3 +286,18 @@ class TestRecurrenceScan:
             recurrence_scan(bath, "realclock", 10.0, 1000, 0.5)  # missing t_planck
         with pytest.raises(ValidationError):
             recurrence_scan(bath, "sideways", 10.0, 1000, 0.5)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("couplings", [1.0, float("nan")]),
+    ("couplings", [float("inf")]),
+    ("alphas", [complex(float("nan"), 0.0)]),
+    ("a", float("nan")),
+])
+def test_spin_bath_rejects_non_finite(field, bad):
+    amp = 1 / math.sqrt(2)
+    n = len(bad) if isinstance(bad, list) else 1
+    params = dict(couplings=[0.3] * n, alphas=[amp] * n, betas=[amp] * n, a=amp, b=amp)
+    params[field] = bad
+    with pytest.raises(ValidationError):
+        SpinBath(**params)
