@@ -7,7 +7,6 @@ with recurrence suppression, and the fundamental clock-accuracy bounds.
 """
 
 from .clock_accuracy import (
-    ClockBudget,
     ExperimentReport,
     decoherence_exponent,
     experiment_report,

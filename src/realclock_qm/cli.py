@@ -91,16 +91,12 @@ def run_evolve(document: dict) -> RunResult:
         for j in range(dim):
             columns += [f"re_rho_{i}_{j}", f"im_rho_{i}_{j}"]
     columns += ["purity", "energy"]
-    rows = []
-    h_mat = hamiltonian.matrix
-    for t, state in trajectory:
-        row = [t]
-        for i in range(dim):
-            for j in range(dim):
-                row += [float(state.matrix[i, j].real), float(state.matrix[i, j].imag)]
-        row.append(state.purity())
-        row.append(float(np.real(np.trace(h_mat @ state.matrix))))
-        rows.append(row)
+    times = [t for t, _ in trajectory]
+    stack = np.array([state.matrix for _, state in trajectory])
+    purity = np.einsum("kij,kji->k", stack, stack).real
+    energy = np.einsum("ij,kji->k", hamiltonian.matrix, stack).real
+    rows = np.column_stack([times, stack.view(float).reshape(len(stack), -1),
+                            purity, energy]).tolist()
     return RunResult(columns=columns, rows=rows)
 
 

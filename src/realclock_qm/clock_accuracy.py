@@ -47,20 +47,6 @@ def decoherence_exponent(omega: float, t: float, t_planck: float) -> float:
 
 
 @dataclass(frozen=True)
-class ClockBudget:
-    """Scales for a decoherence estimate: unit choice, clock mass, duration."""
-
-    t_planck: float
-    mass: float
-    duration: float
-
-    def __post_init__(self):
-        for name in ("t_planck", "mass", "duration"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
 class ExperimentReport:
     """Decoherence magnitudes for one (omega, T, T_P) combination.
 

@@ -79,7 +79,7 @@ class ExpansionClock:
     ``b`` is the second-order coefficient (extra width, b(T) > 0 away from
     T = 0); ``b_rate`` its analytic derivative when available. ``a`` is the
     first-order asymmetry coefficient, zero for symmetric distributions and
-    kept only as an extension point (see evolution.master_step).
+    kept only as an extension point (see evolution.evolve_master).
     """
 
     b: Callable[[float], float]

@@ -48,7 +48,8 @@ def require_same_dim(rho: "DensityMatrix", operator, name: str) -> None:
 
 
 def _require_hermitian(m: np.ndarray, name: str, tol: float = TOL_HERMITIAN) -> None:
-    defect = np.abs(m - m.conj().T)
+    with np.errstate(invalid="ignore"):  # inf - inf; reported below as non-finite
+        defect = np.abs(m - m.conj().T)
     i, j = np.unravel_index(int(np.argmax(defect)), defect.shape)
     worst = float(defect[i, j])
     # negated so that a NaN defect (from a NaN or infinite entry) also fails

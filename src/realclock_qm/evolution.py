@@ -5,11 +5,10 @@ Three routes are implemented and cross-checked against each other:
 * smear_density    -- mixture of sharply evolved states weighted by the
                       clock-reading density (the defining integral).
 * evolve_master    -- differential form: d(rho)/dT = -i[H, rho]
-                      - sigma(T) [H, [H, rho]], stepped with classical RK4
-                      for expansion clocks; ideal and fundamental-limit
-                      clocks use its closed form in the energy eigenbasis,
-                      rho_nm(T) = rho_nm(0) e^{-i w_nm T} e^{-w_nm^2 Sigma(T)},
-                      at every output time at once.
+                      - sigma(T) [H, [H, rho]], as one factor per output
+                      time on rho_nm in the energy eigenbasis: the closed
+                      form for ideal and fundamental-limit clocks, RK4's
+                      stability polynomial for expansion clocks.
 * analytic_offdiagonal / fundamental_decay_factor -- closed forms for the
                       off-diagonal elements, used as oracles.
 
@@ -236,8 +235,25 @@ def _rk4_step(rho: np.ndarray, h_mat: np.ndarray, sig: float, drift: float, h: f
     return out / np.real(np.trace(out))
 
 
-def _spectral_norm(h_mat: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(h_mat))))
+def _require_stable_step(h: float, sig: float, energies: np.ndarray) -> None:
+    """Reject a step outside RK4's stability margin, h(|H|^2 sigma + |H|) < 0.1."""
+    norm = float(np.max(np.abs(energies)))
+    stiffness = h * (norm * norm * sig + norm)
+    if stiffness >= 0.1:
+        raise ValidationError(
+            f"step too large for this Hamiltonian/width-rate: "
+            f"h*(|H|^2 sigma + |H|) = {stiffness:.3g} >= 0.1"
+        )
+
+
+def _integrated_state(m: np.ndarray) -> DensityMatrix:
+    """DensityMatrix(m), reporting a broken invariant as a failed integration."""
+    try:
+        return DensityMatrix(m)
+    except ValidationError as exc:
+        raise IntegrationFailureError(
+            f"step produced an invalid state ({exc}); try a smaller step"
+        ) from exc
 
 
 def master_step(
@@ -247,7 +263,6 @@ def master_step(
     h: float,
     drift_a: float = 0.0,
     drift_a_rate: float = 0.0,
-    h_norm: float | None = None,
 ) -> DensityMatrix:
     """One RK4 step of d(rho)/dT = -i[H, rho] - sigma [H, [H, rho]].
 
@@ -261,30 +276,17 @@ def master_step(
     reading distributions (first-order coefficient a(T) and its rate);
     they rescale the unitary drift to (1 - a') and the decoherence
     coefficient to (sigma - a). Both default to 0 and are excluded from
-    the verified contracts. ``h_norm`` lets trajectory drivers reuse the
-    spectral norm of H for the step-size check.
+    the verified contracts. This matrix-form step is the independent oracle
+    for evolve_master's energy-basis RK4.
     """
     require_same_dim(rho, hamiltonian, "Hamiltonian")
     if sigma_value < 0:
         raise ValidationError(f"sigma must be nonnegative, got {sigma_value}")
     if h <= 0:
         raise ValidationError(f"step must be positive, got {h}")
-    if h_norm is None:
-        h_norm = _spectral_norm(hamiltonian.matrix)
-    stiffness = h * (h_norm * h_norm * sigma_value + h_norm)
-    if stiffness >= 0.1:
-        raise ValidationError(
-            f"step too large for this Hamiltonian/width-rate: "
-            f"h*(|H|^2 sigma + |H|) = {stiffness:.3g} >= 0.1"
-        )
-    raw = _rk4_step(rho.matrix, hamiltonian.matrix, sigma_value - drift_a,
-                    1.0 - drift_a_rate, h)
-    try:
-        return DensityMatrix(raw)
-    except ValidationError as exc:
-        raise IntegrationFailureError(
-            f"step produced an invalid state ({exc}); try a smaller step"
-        ) from exc
+    _require_stable_step(h, sigma_value, np.linalg.eigvalsh(hamiltonian.matrix))
+    return _integrated_state(_rk4_step(rho.matrix, hamiltonian.matrix,
+                                       sigma_value - drift_a, 1.0 - drift_a_rate, h))
 
 
 def evolve_master(
@@ -296,13 +298,11 @@ def evolve_master(
 ) -> list[tuple[float, DensityMatrix]]:
     """Trajectory of the modified evolution from T = 0 to T = t_final.
 
-    Expansion clocks supply sigma(T) per RK4 step (evaluated at the step
-    midpoint). Ideal and fundamental-limit clocks take the closed form in
-    the energy eigenbasis instead, evaluated at every output time in one
-    broadcast: rho_nm(T) = rho_nm(0) exp(-i omega_nm T - omega_nm^2 Sigma(T)),
-    with Sigma = 0 for the ideal clock and Sigma = T_P^(4/3) T^(2/3) for the
-    fundamental limit, where pointwise sigma stepping would be
-    ill-conditioned near the clock horizon.
+    Every clock multiplies rho_nm in the energy eigenbasis by one factor per
+    output time: exp(-i omega_nm T - omega_nm^2 Sigma(T)) for the ideal
+    (Sigma = 0) and fundamental-limit (Sigma = T_P^(4/3) T^(2/3)) clocks,
+    whose pointwise sigma is ill-conditioned near the horizon, and classical
+    RK4 for expansion clocks (_rk4_factors). Each output is validated.
     """
     if t_final < 0:
         raise ValidationError(f"t_final must be nonnegative, got {t_final}")
@@ -315,31 +315,43 @@ def evolve_master(
     times = [k * h for k in range(n_steps + 1)]
     times[-1] = t_final
 
-    if isinstance(clock, FundamentalLimitClock):
+    dec = eigendecompose(hamiltonian)
+    if isinstance(clock, IdealClock):
+        factors = dec.kernel(times)
+    elif isinstance(clock, FundamentalLimitClock):
         if t_final >= clock.t_max:
             raise ValidationError(
                 f"t_final={t_final} must stay below the clock horizon t_max={clock.t_max}"
             )
-        exponents = [decoherence_exponent(1.0, t, clock.t_planck) for t in times]
-        return _evolve_exact(rho0, hamiltonian, times, exponents)
-    if isinstance(clock, IdealClock):
-        return _evolve_exact(rho0, hamiltonian, times, 0.0)
-    if not isinstance(clock, ExpansionClock):
+        factors = dec.kernel(times, [decoherence_exponent(1.0, t, clock.t_planck) for t in times])
+    elif isinstance(clock, ExpansionClock):
+        factors = _rk4_factors(clock, dec, times[:-1], h)
+    else:
         raise UnsupportedClockKindError(
             f"master evolution supports ideal, expansion and fundamental-limit "
             f"clocks, not {type(clock).__name__}"
         )
+    states = dec.from_eig(dec.to_eig(rho0.matrix) * factors)
+    return [(0.0, rho0)] + [(t, _integrated_state(m)) for t, m in zip(times[1:], states[1:])]
 
-    h_norm = _spectral_norm(hamiltonian.matrix)
-    trajectory = [(0.0, rho0)]
-    state = rho0
-    for k in range(n_steps):
-        mid = times[k] + 0.5 * h
-        drift_a, drift_a_rate = _expansion_drift(clock, mid)
-        state = master_step(state, hamiltonian, sigma(clock, mid), h,
-                            drift_a=drift_a, drift_a_rate=drift_a_rate, h_norm=h_norm)
-        trajectory.append((times[k + 1], state))
-    return trajectory
+
+def _rk4_factors(clock: ExpansionClock, dec: EnergyDecomposition, starts: list[float],
+                 h: float) -> np.ndarray:
+    """Running product, from 1 at T = 0, of RK4 steps in the energy eigenbasis.
+
+    With sigma and drift frozen at the step midpoint, one step multiplies
+    rho_nm by the stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
+    at z = h(-i (1 - a') omega_nm - (sigma - a) omega_nm^2). R = 1 on the
+    diagonal and R(z_mn) = conj(R(z_nm)): trace and Hermiticity hold.
+    """
+    mids = [t + 0.5 * h for t in starts]
+    sig = np.array([sigma(clock, t) for t in mids])
+    _require_stable_step(h, float(sig.max()), dec.eigenvalues)
+    a, a_rate = np.array([_expansion_drift(clock, t) for t in mids]).T
+    b = dec.bohr_frequencies
+    z = h * (-1j * (1.0 - a_rate)[:, None, None] * b - (sig - a)[:, None, None] * (b * b))
+    r = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+    return np.concatenate([np.ones((1,) + b.shape), np.cumprod(r, axis=0)])
 
 
 def _expansion_drift(clock: ExpansionClock, reading: float) -> tuple[float, float]:
@@ -349,15 +361,6 @@ def _expansion_drift(clock: ExpansionClock, reading: float) -> tuple[float, floa
     step = 1e-6 * max(1.0, abs(reading))
     rate = (clock.a(reading + step) - clock.a(reading - step)) / (2 * step)
     return float(clock.a(reading)), float(rate)
-
-
-def _evolve_exact(rho0: DensityMatrix, hamiltonian: HermitianOperator, times: list[float],
-                  exponent: float | list[float]) -> list[tuple[float, DensityMatrix]]:
-    """rho(T) = from_eig(to_eig(rho0) * kernel(T, exponent)) at every time;
-    ``exponent`` is a scalar or one value per time."""
-    dec = eigendecompose(hamiltonian)
-    states = dec.from_eig(dec.to_eig(rho0.matrix) * dec.kernel(times, exponent))
-    return [(times[0], rho0)] + [(t, DensityMatrix(m)) for t, m in zip(times[1:], states[1:])]
 
 
 def analytic_offdiagonal(rho0_nm: complex, omega_nm: float, sig: float, t: float) -> complex:

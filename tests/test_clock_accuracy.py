@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from realclock_qm import (
-    ClockBudget,
     ValidationError,
     decoherence_exponent,
     experiment_report,
@@ -129,11 +128,3 @@ class TestExperimentReport:
         assert report.no_decoherence
         assert report.half_coherence_time == math.inf
         assert report.decay_factor == 1.0
-
-
-def test_clock_budget_validates_positivity():
-    ClockBudget(t_planck=1e-3, mass=10.0, duration=5.0)
-    with pytest.raises(ValidationError):
-        ClockBudget(t_planck=0.0, mass=10.0, duration=5.0)
-    with pytest.raises(ValidationError):
-        ClockBudget(t_planck=1e-3, mass=-1.0, duration=5.0)

@@ -45,13 +45,13 @@ class TestTypes:
         with pytest.raises(ValidationError, match="idempotent"):
             Projector(matrix=np.diag([0.5, 0.5]), interval=(0.0, 1.0))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("entry", [float("nan"), float("inf"), complex(1.0, float("nan"))])
     def test_hermitian_rejects_non_finite_entry(self, entry):
         with pytest.raises(ValidationError, match=r"non-finite entry at \(1, 1\)"):
             HermitianOperator(np.array([[1.0, 0.0], [0.0, entry]]))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("matrix", [
         [[float("nan"), 0.0], [0.0, 1.0]],
         [[0.5, float("inf")], [float("inf"), 0.5]],

@@ -31,8 +31,8 @@ from realclock_qm import (
     smear_density,
     unitary_evolve,
 )
-from realclock_qm.clocks import ExpansionClock, pdf
-from realclock_qm.evolution import _simpson_weights
+from realclock_qm.clocks import ExpansionClock, pdf, sigma
+from realclock_qm.evolution import _expansion_drift, _simpson_weights
 from helpers import plus_state, qubit_hamiltonian, random_density, random_hermitian
 
 QUBIT = qubit_hamiltonian(1.0)
@@ -333,6 +333,40 @@ class TestEvolveMaster:
             errors.append(err)
         assert errors[0] / errors[1] >= 12.8
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("asymmetric", [False, True], ids=["symmetric", "drift"])
+    def test_expansion_route_equals_iterated_master_step(self, seed, asymmetric):
+        # the energy-basis route against the matrix-form RK4 oracle, with the
+        # same midpoint coefficients the route uses
+        rng = np.random.default_rng([seed, asymmetric])
+        dim = int(rng.integers(2, 7))
+        h = random_hermitian(rng, dim, norm=1.5)
+        rho = random_density(rng, dim)
+        s0, s1 = rng.uniform(0.1, 0.3, size=2)
+        c0, c1 = rng.uniform(0.0, 0.05, size=2)
+        clock = ExpansionClock(b=lambda T: s0 * T + 0.5 * s1 * T * T,
+                               b_rate=lambda T: s0 + s1 * T,
+                               a=(lambda T: c0 + c1 * T) if asymmetric else None)
+        traj = evolve_master(rho, h, clock, 1.0, default_cfg(step=1e-2))
+        assert len(traj) == 101
+        state = rho
+        for (t0, _), (t1, stepped) in zip(traj, traj[1:]):
+            mid = 0.5 * (t0 + t1)
+            drift_a, drift_a_rate = _expansion_drift(clock, mid)
+            state = master_step(state, h, sigma(clock, mid), t1 - t0,
+                                drift_a=drift_a, drift_a_rate=drift_a_rate)
+            assert np.max(np.abs(stepped.matrix - state.matrix)) <= 1e-12
+
+    @pytest.mark.parametrize("clock", [
+        constant_width_growth(0.5),
+        # stable at first; sigma(T) grows past the limit before t_final
+        ExpansionClock(b=lambda T: 0.5 * T * T, b_rate=lambda T: T),
+    ], ids=["constant", "late"])
+    def test_stiff_expansion_clock_rejected(self, clock):
+        with pytest.raises(ValidationError, match="step too large"):
+            evolve_master(plus_state(), qubit_hamiltonian(10.0), clock, 2.0,
+                          default_cfg(step=5e-3))
+
     def test_ideal_clock_equals_unitary_evolve_at_every_time(self, rng):
         h = random_hermitian(rng, 4, norm=2.0)
         rho = random_density(rng, 4)
@@ -465,6 +499,12 @@ def test_integration_failure_names_the_step():
         state = plus_state()
         for _ in range(50):
             state = master_step(state, QUBIT, 0.0, 1e-2, drift_a=0.5)
+
+
+def test_evolve_master_reports_growing_coherence_as_integration_failure():
+    clock = ExpansionClock(b=lambda T: 0.0, b_rate=lambda T: 0.0, a=lambda T: 0.5)
+    with pytest.raises(IntegrationFailureError, match="smaller step"):
+        evolve_master(plus_state(), QUBIT, clock, 0.5, default_cfg())
 
 
 @pytest.mark.parametrize("field", ["step", "t_min", "t_max", "quad_tol"])
