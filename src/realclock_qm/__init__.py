@@ -77,6 +77,7 @@ from .zurek import (
     SpinBath,
     brute_force_z,
     random_bath,
+    realclock_damping,
     recurrence_scan,
     reduced_density,
     z_ideal,

@@ -30,7 +30,7 @@ from . import config as cfgmod
 from .clock_accuracy import experiment_report, salecker_wigner_error
 from .clocks import GaussianClock
 from .core import HermitianOperator, build_projector
-from .errors import ConfigError, RealClockQMError, ResourceLimitError
+from .errors import ConfigError, RealClockQMError
 from .evolution import (
     ConditionalQuery,
     EvolutionConfig,
@@ -41,7 +41,14 @@ from .evolution import (
     ordinary_probability,
     smear_density,
 )
-from .zurek import SpinBath, brute_force_z, random_bath, recurrence_scan, z_ideal, z_realclock
+from .zurek import (
+    SpinBath,
+    brute_force_z,
+    random_bath,
+    realclock_damping,
+    recurrence_scan,
+    z_ideal,
+)
 
 WORKERS_ENV = "REALCLOCK_QM_WORKERS"
 BRUTE_FORCE_CHECK_TOL = 1e-9
@@ -140,17 +147,13 @@ def run_zurek(document: dict) -> RunResult:
 
     times = np.linspace(0.0, horizon, n_samples)
     ideal = z_ideal(bath, times)
-    real = z_realclock(bath, times, t_planck)
+    real = ideal * realclock_damping(bath, times, t_planck)
 
     if section.get("verify_brute_force", False):
-        if bath.n_atoms > 14:
-            raise ResourceLimitError(
-                f"brute-force verification supports at most 14 atoms, got {bath.n_atoms}"
-            )
         stride = max(1, n_samples // 32)
         worst = max(
-            abs(z_ideal(bath, float(t)) - brute_force_z(bath, float(t)))
-            for t in times[::stride]
+            abs(zi - brute_force_z(bath, float(t)))
+            for t, zi in zip(times[::stride], ideal[::stride])
         )
         if worst > BRUTE_FORCE_CHECK_TOL:
             raise RealClockQMError(
@@ -159,10 +162,8 @@ def run_zurek(document: dict) -> RunResult:
 
     columns = ["t", "re_z_ideal", "im_z_ideal", "abs_z_ideal",
                "re_z_realclock", "im_z_realclock", "abs_z_realclock"]
-    rows = [
-        [float(t), zi.real, zi.imag, abs(zi), zr.real, zr.imag, abs(zr)]
-        for t, zi, zr in zip(times, ideal, real)
-    ]
+    rows = np.column_stack([times, ideal.real, ideal.imag, np.abs(ideal),
+                            real.real, real.imag, np.abs(real)]).tolist()
 
     tables = []
     rec = section.get("recurrence")
@@ -343,24 +344,22 @@ RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    return f"{float(value):.16e}"
+def _csv_lines(columns: list[str], rows: list[list]) -> list[str]:
+    """Header plus one line per row. Every row is formatted with the row
+    template of the first: a string cell as is, any other as float with 17
+    significant digits."""
+    if not rows:
+        return [",".join(columns)]
+    template = ",".join("%s" if isinstance(v, str) else "%.16e" for v in rows[0])
+    return [",".join(columns)] + [template % tuple(row) for row in rows]
 
 
 def write_csv(path: str, document: dict, result: RunResult) -> None:
     lines = ["# realclock-qm output",
              "# config: " + json.dumps(document, sort_keys=True)]
-    lines.append(",".join(result.columns))
-    for row in result.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+    lines += _csv_lines(result.columns, result.rows)
     for name, columns, rows in result.tables:
-        lines.append("")
-        lines.append(f"# table: {name}")
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_format_cell(v) for v in row))
+        lines += ["", f"# table: {name}"] + _csv_lines(columns, rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -440,6 +439,9 @@ def main(argv=None) -> int:
         return 2
     except RealClockQMError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # last resort: one line, never a traceback
+        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
     try:

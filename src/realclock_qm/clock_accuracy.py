@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 
 
@@ -33,16 +35,17 @@ def ng_vandam_limit(t: float, t_planck: float) -> float:
     return t_planck ** (2.0 / 3.0) * t ** (1.0 / 3.0)
 
 
-def decoherence_exponent(omega: float, t: float, t_planck: float) -> float:
+def decoherence_exponent(omega: float, t, t_planck: float):
     """Exponent omega^2 * T_P^(4/3) * T^(2/3) suppressing an off-diagonal
     element at Bohr frequency omega after duration T under the best clock.
 
-    evolution.fundamental_decay_factor is exp(-this value).
+    ``t`` may be a scalar or a numpy array of durations (the result has
+    its shape). evolution.fundamental_decay_factor is exp(-this value).
     """
     if t_planck <= 0:
         raise ValidationError(f"t_planck must be positive, got {t_planck}")
-    if t < 0:
-        raise ValidationError(f"duration must be nonnegative, got {t}")
+    if np.any(t < 0):
+        raise ValidationError(f"duration must be nonnegative, got {np.min(t)}")
     return omega * omega * t_planck ** (4.0 / 3.0) * t ** (2.0 / 3.0)
 
 

@@ -323,7 +323,7 @@ def evolve_master(
             raise ValidationError(
                 f"t_final={t_final} must stay below the clock horizon t_max={clock.t_max}"
             )
-        factors = dec.kernel(times, [decoherence_exponent(1.0, t, clock.t_planck) for t in times])
+        factors = dec.kernel(times, decoherence_exponent(1.0, np.array(times), clock.t_planck))
     elif isinstance(clock, ExpansionClock):
         factors = _rk4_factors(clock, dec, times[:-1], h)
     else:

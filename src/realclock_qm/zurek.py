@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clock_accuracy import decoherence_exponent
 from .core import DensityMatrix
 from .errors import (
     InvalidCoherenceError,
@@ -126,16 +127,18 @@ def z_ideal(bath: SpinBath, t):
     return complex(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def z_realclock(bath: SpinBath, t, t_planck: float):
-    """Coherence factor under real-clock evolution: every bath factor picks
-    up exp(-(2 g_k)^2 T_P^(4/3) t^(2/3))."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValidationError("time must be nonnegative")
+def realclock_damping(bath: SpinBath, t, t_planck: float):
+    """Factor prod_k exp(-(2 g_k)^2 T_P^(4/3) t^(2/3)) by which a real clock
+    multiplies z; ``t`` may be a scalar or an array of times."""
     sum_sq = float(np.sum((2.0 * bath.couplings) ** 2))
-    damping = np.exp(-sum_sq * t_planck ** (4.0 / 3.0) * t_arr ** (2.0 / 3.0))
-    out = z_ideal(bath, t) * damping
-    return complex(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    return np.exp(-sum_sq * decoherence_exponent(1.0, np.asarray(t, dtype=float), t_planck))
+
+
+def z_realclock(bath: SpinBath, t, t_planck: float):
+    """Coherence factor under real-clock evolution: z_ideal times
+    realclock_damping."""
+    out = z_ideal(bath, t) * realclock_damping(bath, t, t_planck)
+    return complex(out) if np.ndim(t) == 0 else out
 
 
 def brute_force_z(bath: SpinBath, t: float) -> complex:
@@ -160,8 +163,8 @@ def brute_force_z(bath: SpinBath, t: float) -> complex:
     env_minus = np.array([1.0 + 0.0j])
     for g, al, be in zip(bath.couplings, bath.alphas, bath.betas):
         up = np.exp(1j * g * t)
-        env_plus = np.kron(env_plus, np.array([al * up, be / up]))
-        env_minus = np.kron(env_minus, np.array([al / up, be * up]))
+        env_plus = np.multiply.outer(env_plus, [al * up, be / up]).ravel()
+        env_minus = np.multiply.outer(env_minus, [al / up, be * up]).ravel()
     psi = np.vstack([bath.a * env_plus, bath.b * env_minus])
     reduced = psi @ psi.conj().T  # partial trace over all atoms
     return complex(reduced[0, 1] / ab_conj)
@@ -195,22 +198,34 @@ class RecurrenceScan:
     exceedances: tuple[tuple[float, float], ...]
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float = 1e-6) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi] to absolute x tolerance."""
+def _golden_max(f, lo: np.ndarray, hi: np.ndarray,
+                xtol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximization on every bracket [lo[i], hi[i]] at once.
+
+    ``f`` maps an array of points to an array of values. The brackets move
+    in lockstep, and each stops once it is no wider than the absolute x
+    tolerance ``xtol``; every bracket takes the steps a scalar search
+    would. Each iteration makes one call to ``f``, on the brackets still
+    open. Returns the final bracket midpoints and their values.
+    """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+    active = b - a > xtol
+    while active.any():
+        left = fc > fd  # the maximum lies in [a, d], else in [c, b]
+        go_left, go_right = active & left, active & ~left
+        b[go_left], d[go_left], fd[go_left] = d[go_left], c[go_left], fc[go_left]
+        a[go_right], c[go_right], fc[go_right] = c[go_right], d[go_right], fd[go_right]
+        c[go_left] = b[go_left] - invphi * (b[go_left] - a[go_left])
+        d[go_right] = a[go_right] + invphi * (b[go_right] - a[go_right])
+        value = f(np.where(left, c, d)[active])
+        fc[go_left] = value[left[active]]
+        fd[go_right] = value[~left[active]]
+        active = b - a > xtol
     x = 0.5 * (a + b)
     return x, f(x)
 
@@ -225,8 +240,10 @@ def recurrence_scan(
 ) -> RecurrenceScan:
     """Scan |z| on [0, horizon] for returns of coherence above a threshold.
 
-    Grid local maxima above the threshold are refined by golden-section
-    search (absolute time tolerance 1e-6). ``running_sup[i]`` is the
+    Grid local maxima above the threshold are refined together, by one
+    batched golden-section search over the brackets [t_{i-1}, t_{i+1}]
+    around them (absolute time tolerance 1e-6); refined peaks closer than
+    1e-5 are merged into the higher one. ``running_sup[i]`` is the
     supremum of the sampled |z| over [times[i], horizon]. ``mode`` is
     "ideal" or "realclock" (the latter needs t_planck).
     """
@@ -250,17 +267,15 @@ def recurrence_scan(
     abs_z = np.asarray(zfun(times))
     running_sup = np.maximum.accumulate(abs_z[::-1])[::-1]
 
-    exceedances: list[tuple[float, float]] = []
     # a recurrence is a *return* of coherence: the t = 0 sample is the
     # reference value, never an exceedance
     padded = np.concatenate([[np.inf], abs_z, [-np.inf]])
     is_max = (padded[1:-1] >= padded[:-2]) & (padded[1:-1] >= padded[2:])
-    for i in np.flatnonzero(is_max & (abs_z > threshold)):
-        lo = times[max(i - 1, 0)]
-        hi = times[min(i + 1, n_samples - 1)]
-        t_peak, value = _golden_max(lambda s: float(zfun(s)), lo, hi)
-        if value > threshold:
-            exceedances.append((t_peak, value))
+    peaks = np.flatnonzero(is_max & (abs_z > threshold))
+    t_peaks, values = _golden_max(zfun, times[np.maximum(peaks - 1, 0)],
+                                  times[np.minimum(peaks + 1, n_samples - 1)])
+    exceedances = [(t_peak, value) for t_peak, value in zip(t_peaks.tolist(), values.tolist())
+                   if value > threshold]
     deduped: list[tuple[float, float]] = []
     for t_peak, value in sorted(exceedances):
         if deduped and abs(t_peak - deduped[-1][0]) < 1e-5:

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from realclock_qm.cli import main
+from realclock_qm import cli
+from realclock_qm.cli import RunResult, main, write_csv
 from realclock_qm.config import CONFIG_SCHEMA, apply_override, derive_rng, validate_config
 from realclock_qm import ConfigError, fundamental_decay_factor
 
@@ -159,6 +160,34 @@ class TestZurekCommand:
         doc["zurek"]["n_samples"] = 101
         cfg = write_config(tmp_path, "c.json", doc)
         assert run_cli("zurek", "--config", cfg, "--out", str(tmp_path / "o.csv")) == 0
+
+    def test_recurrence_table_is_byte_deterministic(self, tmp_path):
+        doc = self._doc(recurrence={"threshold": 0.3, "modes": ["ideal", "realclock"],
+                                    "n_samples": 20001})
+        doc["zurek"]["t_planck"] = 0.01
+        cfg = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "o.csv"
+        assert run_cli("zurek", "--config", cfg, "--out", str(out)) == 0
+        first = out.read_bytes()
+        lines = first.decode().splitlines()
+        assert any(l.startswith("ideal,") for l in lines)
+        assert any(l.startswith("realclock,") for l in lines)
+        assert run_cli("zurek", "--config", cfg, "--out", str(out)) == 0
+        assert out.read_bytes() == first
+
+    def test_brute_force_over_atom_limit_is_numeric_failure(self, tmp_path, capsys):
+        doc = {"command": "zurek",
+               "zurek": {"random_bath": {"n_atoms": 15, "coupling_low": 0.1,
+                                         "coupling_high": 1.0},
+                         "horizon": 10.0, "n_samples": 101, "t_planck": 0.05,
+                         "verify_brute_force": True}}
+        cfg = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "o.csv"
+        assert run_cli("zurek", "--config", cfg, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("numeric failure:") and "14 atoms" in err
+        assert not out.exists()
 
     def test_random_bath_is_seed_deterministic(self, tmp_path):
         doc = {"command": "zurek",
@@ -400,3 +429,44 @@ class TestConfigHelpers:
     def test_validate_config_names_offending_key(self):
         with pytest.raises(ConfigError, match="clock.kind"):
             validate_config({"command": "evolve", "clock": {"kind": "bogus"}})
+
+
+def test_unexpected_exception_is_one_line_numeric_failure(tmp_path, capsys, monkeypatch):
+    def broken(document):
+        raise ValueError("planted failure")
+
+    monkeypatch.setitem(cli.RUNNERS, "evolve", broken)
+    cfg = write_config(tmp_path, "c.json", EVOLVE_DOC)
+    out = tmp_path / "o.csv"
+    assert run_cli("evolve", "--config", cfg, "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err == "numeric failure: ValueError: planted failure\n"
+    assert not out.exists()
+
+
+def test_write_csv_matches_per_cell_formatter(tmp_path):
+    def format_cell(value):  # the writer's former per-cell rule
+        if isinstance(value, str):
+            return value
+        return f"{float(value):.16e}"
+
+    edge = [-0.0, 5e-324, 1.7976931348623157e308, float("nan"), float("inf"),
+            -float("inf"), 7, True, np.float64(-2.5e-300)]
+    columns = [f"c{i}" for i in range(len(edge))]
+    rows = [edge, [float(i) / 3.0 for i in range(len(edge))]]
+    table_rows = [["ideal", 1.5, np.float64(0.1)], ["realclock", -0.0, 2],
+                  ["ideal", 5e-324, float("nan")]]
+    result = RunResult(columns=columns, rows=rows,
+                       tables=[("mixed", ["mode", "t", "abs_z"], table_rows),
+                               ("empty", ["a", "b"], [])])
+    document = {"command": "zurek", "seed": 0}
+
+    expected = ["# realclock-qm output", "# config: " + json.dumps(document, sort_keys=True),
+                ",".join(columns)]
+    expected += [",".join(format_cell(v) for v in row) for row in rows]
+    for name, cols, trows in result.tables:
+        expected += ["", f"# table: {name}", ",".join(cols)]
+        expected += [",".join(format_cell(v) for v in row) for row in trows]
+    out = tmp_path / "o.csv"
+    write_csv(str(out), document, result)
+    assert out.read_bytes() == ("\n".join(expected) + "\n").encode()

@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -72,6 +73,16 @@ class TestDecoherenceExponent:
             assert fundamental_decay_factor(omega, t, t_p) == math.exp(
                 -decoherence_exponent(omega, t, t_p)
             )
+
+    def test_array_of_durations(self, rng):
+        times = rng.uniform(0.0, 50.0, size=40)
+        exponents = decoherence_exponent(1.7, times, 0.02)
+        assert exponents.shape == times.shape
+        # numpy's array power may differ from the scalar libm pow by one ulp
+        scalar = [decoherence_exponent(1.7, float(t), 0.02) for t in times]
+        assert np.allclose(exponents, scalar, rtol=1e-15, atol=0.0)
+        with pytest.raises(ValidationError):
+            decoherence_exponent(1.7, np.append(times, -1e-12), 0.02)
 
     @given(positive, positive, st.floats(min_value=1e-3, max_value=1e3))
     def test_quadratic_homogeneity_in_frequency(self, omega, t, scale):

@@ -18,12 +18,15 @@ from realclock_qm import (
     brute_force_z,
     evolve_master,
     random_bath,
+    realclock_damping,
     recurrence_scan,
     reduced_density,
     z_ideal,
     z_realclock,
 )
+from realclock_qm.clock_accuracy import decoherence_exponent
 from realclock_qm.core import HermitianOperator
+from realclock_qm.zurek import _golden_max
 
 
 def make_bath(couplings, weights=None, a=None, b=None):
@@ -187,6 +190,21 @@ class TestZRealclock:
         bath = random_bath(2, (0.1, 1.0), rng)
         with pytest.raises(ValidationError):
             z_realclock(bath, -1.0, 0.05)
+        with pytest.raises(ValidationError):
+            z_realclock(bath, np.array([0.0, 1.0, -1e-9]), 0.05)
+
+    def test_damping_is_product_of_per_atom_decoherence(self, rng):
+        bath = random_bath(6, (0.1, 1.5), rng)
+        t_p = 0.03
+        times = np.linspace(0.0, 25.0, 301)
+        per_atom = np.prod([np.exp(-decoherence_exponent(2.0 * g, times, t_p))
+                            for g in bath.couplings], axis=0)
+        damping = realclock_damping(bath, times, t_p)
+        assert np.allclose(damping, per_atom, rtol=1e-12, atol=0.0)
+        real = z_realclock(bath, times, t_p)
+        assert np.array_equal(real, z_ideal(bath, times) * damping)
+        for t, value in zip(times[::50], real[::50]):
+            assert z_realclock(bath, float(t), t_p) == value
 
 
 class TestMasterEquationConsistency:
@@ -243,6 +261,57 @@ class TestReducedDensity:
         bath = make_bath([1.0])
         with pytest.raises(InvalidCoherenceError):
             reduced_density(bath, 1.2)
+
+
+def _scalar_golden_max(f, lo, hi, xtol=1e-6):
+    """One bracket at a time: the textbook golden-section search."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    steps = 0
+    while b - a > xtol:
+        steps += 1
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x), steps
+
+
+class TestGoldenMax:
+    def test_batched_matches_scalar_search(self, rng):
+        bath = commensurate_bath()
+        calls = []
+
+        def batched_f(t):
+            calls.append(np.shape(t))
+            return np.abs(z_ideal(bath, t))
+
+        lo = rng.uniform(0.0, 40.0, size=200)
+        # widths from already closed (below xtol) to brackets holding many peaks
+        widths = np.concatenate([rng.uniform(1e-7, 1e-6, 5), rng.uniform(1e-4, 0.05, 150),
+                                 rng.uniform(0.5, 5.0, 45)])
+        hi = lo + widths
+        x, value = _golden_max(batched_f, lo, hi)
+        reference = [_scalar_golden_max(lambda s: abs(z_ideal(bath, s)), float(l), float(h))
+                     for l, h in zip(lo, hi)]
+        ref_x = np.array([r[0] for r in reference])
+        ref_value = np.array([r[1] for r in reference])
+        assert np.max(np.abs(x - ref_x)) <= 1e-9
+        assert np.max(np.abs(value - ref_value)) <= 1e-9
+        # one call per iteration, as many iterations as the longest scalar search
+        assert len(calls) == 3 + max(r[2] for r in reference)
+
+    def test_no_brackets(self):
+        x, value = _golden_max(lambda t: np.abs(z_ideal(commensurate_bath(), t)),
+                               np.array([]), np.array([]))
+        assert x.shape == value.shape == (0,)
 
 
 class TestRecurrenceScan:
