@@ -22,12 +22,12 @@ TOL_IDEMPOTENT = 1e-10
 TOL_DECOMPOSITION = 1e-10
 
 
-def as_square_complex(entries, name: str = "matrix") -> np.ndarray:
-    """Coerce to a read-only square complex array, validating the shape."""
+def as_square_complex(entries, name: str = "matrix", ndim: int = 2) -> np.ndarray:
+    """Coerce to a read-only square complex array (a stack at ndim 3), validating the shape."""
     m = np.array(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"{name} must be square, got shape {m.shape}")
-    if m.shape[0] == 0:
+    if m.shape[-1] == 0:
         raise ValidationError(f"{name} must have positive dimension")
     m.setflags(write=False)
     return m
@@ -62,6 +62,32 @@ def _require_hermitian(m: np.ndarray, name: str, tol: float = TOL_HERMITIAN) -> 
         )
 
 
+def _require_density_stack(stack: np.ndarray) -> None:
+    """Check an (n, d, d) stack as DensityMatrix checks one matrix, in stacked
+    passes; the first failing matrix raises its DensityMatrix error, with its
+    position in the stack as ``index``."""
+    with np.errstate(invalid="ignore"):  # inf - inf; NaN fails the negated tests
+        defect = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        tr = np.trace(stack, axis1=1, axis2=2)
+        tr_ok = (np.abs(tr.imag) <= TOL_TRACE) & (np.abs(tr.real - 1.0) <= TOL_TRACE)
+    # argmin over a False-terminated mask: the first failure, else the length
+    k = int(np.argmin(np.append((defect <= TOL_HERMITIAN) & tr_ok, False)))
+    lo = np.linalg.eigvalsh(stack[:k])[:, 0]  # Hermitian, hence finite, matrices only
+    k = int(np.argmin(np.append(lo >= -TOL_PSD, False)))
+    if k == len(stack):
+        return
+    try:
+        _require_hermitian(stack[k], "density matrix")
+        raise ValidationError(
+            f"density matrix has negative eigenvalue {lo[k]:.3e} (tol {TOL_PSD:.1e})"
+            if tr_ok[k] else
+            f"density matrix trace must be 1, got {tr[k]:.12g} (tol {TOL_TRACE:.1e})"
+        )
+    except ValidationError as exc:
+        exc.index = k
+        raise
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A Hermitian matrix: Hamiltonians and observables."""
@@ -86,18 +112,19 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_square_complex(self.matrix, "density matrix")
-        _require_hermitian(m, "density matrix")
-        tr = np.trace(m)
-        if not (abs(tr.imag) <= TOL_TRACE and abs(tr.real - 1.0) <= TOL_TRACE):
-            raise ValidationError(
-                f"density matrix trace must be 1, got {tr:.12g} (tol {TOL_TRACE:.1e})"
-            )
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if not lo >= -TOL_PSD:
-            raise ValidationError(
-                f"density matrix has negative eigenvalue {lo:.3e} (tol {TOL_PSD:.1e})"
-            )
+        _require_density_stack(m[None])
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def stack(cls, matrices) -> list["DensityMatrix"]:
+        """One state per matrix of an (n, d, d) stack, all validated before any
+        is built; the states are read-only views of one read-only array."""
+        stack = as_square_complex(matrices, "density matrix stack", ndim=3)
+        _require_density_stack(stack)
+        states = [object.__new__(cls) for _ in stack]
+        for state, m in zip(states, stack):
+            object.__setattr__(state, "matrix", m)
+        return states
 
     @property
     def dim(self) -> int:

@@ -302,7 +302,7 @@ def evolve_master(
     output time: exp(-i omega_nm T - omega_nm^2 Sigma(T)) for the ideal
     (Sigma = 0) and fundamental-limit (Sigma = T_P^(4/3) T^(2/3)) clocks,
     whose pointwise sigma is ill-conditioned near the horizon, and classical
-    RK4 for expansion clocks (_rk4_factors). Each output is validated.
+    RK4 for expansion clocks (_rk4_factors). The outputs are validated as one stack.
     """
     if t_final < 0:
         raise ValidationError(f"t_final must be nonnegative, got {t_final}")
@@ -332,7 +332,13 @@ def evolve_master(
             f"clocks, not {type(clock).__name__}"
         )
     states = dec.from_eig(dec.to_eig(rho0.matrix) * factors)
-    return [(0.0, rho0)] + [(t, _integrated_state(m)) for t, m in zip(times[1:], states[1:])]
+    try:
+        outputs = DensityMatrix.stack(states[1:])
+    except ValidationError as exc:
+        raise IntegrationFailureError(
+            f"output at T = {times[1 + exc.index]} is an invalid state ({exc}); try a smaller step"
+        ) from exc
+    return [(0.0, rho0)] + list(zip(times[1:], outputs))
 
 
 def _rk4_factors(clock: ExpansionClock, dec: EnergyDecomposition, starts: list[float],
@@ -579,12 +585,10 @@ def despagnat_conservation(
             commutator_norm=comm_norm,
         )
     trajectory = evolve_master(rho0, hamiltonian, clock, t_final, cfg)
-    samples = tuple(
-        (t, float(np.real(np.trace(observable.matrix @ state.matrix))))
-        for t, state in trajectory
-    )
-    values = [v for _, v in samples]
-    spread = max(values) - min(values)
+    stack = np.array([state.matrix for _, state in trajectory])
+    values = np.einsum("ij,kji->k", observable.matrix, stack).real
+    samples = tuple(zip([t for t, _ in trajectory], values.tolist()))
+    spread = float(values.max() - values.min())
     return ConservationReport(samples=samples, spread=spread, conserved=spread <= CONSERVATION_TOL)
 
 

@@ -67,6 +67,93 @@ class TestTypes:
             op.matrix[0, 0] = 5.0
 
 
+def _hermitian_defect(m, rng):
+    i, j = rng.choice(len(m), size=2, replace=False)
+    m[i, j] += 2e-12
+
+
+def _trace_defect(m, rng):
+    i = rng.integers(len(m))
+    m[i, i] += 2e-10
+
+
+def _negative_eigenvalue(m, rng):
+    d = len(m)
+    v, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    w = rng.uniform(0.1, 1.0, d)
+    w[0] = 0.0
+    w /= w.sum()
+    w[0], w[1] = -2e-9, w[1] + 2e-9
+    m[:] = (v * w) @ v.conj().T
+    m[:] = 0.5 * (m + m.conj().T)
+
+
+def _nan_entry(m, rng):
+    m[tuple(rng.integers(len(m), size=2))] = np.nan
+
+
+def _inf_entry(m, rng):
+    m[tuple(rng.integers(len(m), size=2))] = np.inf
+
+
+def _density_stack(rng, n, d):
+    return np.array([random_density(rng, d).matrix for _ in range(n)])
+
+
+def _raised(build, matrix):
+    with pytest.raises(ValidationError) as excinfo:
+        build(matrix)
+    return excinfo.value
+
+
+class TestDensityStack:
+    """DensityMatrix.stack checks a stack in one pass and must accept and
+    reject exactly what one DensityMatrix per matrix would."""
+
+    def test_clean_stacks_pass_as_read_only_states(self, rng):
+        for d in range(2, 17):
+            stack = _density_stack(rng, 7, d)
+            states = DensityMatrix.stack(stack)
+            assert len(states) == 7
+            for state, m in zip(states, stack):
+                assert isinstance(state, DensityMatrix)
+                assert state.dim == d
+                assert not state.matrix.flags.writeable
+                assert np.array_equal(state.matrix, m)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("plant", [_hermitian_defect, _trace_defect, _negative_eigenvalue,
+                                       _nan_entry, _inf_entry],
+                             ids=["hermiticity", "trace", "negative_eigenvalue", "nan", "inf"])
+    def test_planted_defect_raises_the_scalar_error(self, plant, rng):
+        for d in range(2, 17):
+            stack = _density_stack(rng, 7, d)
+            k = int(rng.integers(len(stack)))
+            plant(stack[k], rng)
+            batched = _raised(DensityMatrix.stack, stack)
+            scalar = _raised(DensityMatrix, stack[k])
+            assert type(batched) is type(scalar)
+            assert str(batched) == str(scalar)
+            assert batched.index == k
+
+    @pytest.mark.parametrize("first, second", [
+        (_negative_eigenvalue, _hermitian_defect),
+        (_hermitian_defect, _negative_eigenvalue),
+        (_negative_eigenvalue, _trace_defect),
+    ])
+    def test_first_failing_matrix_is_reported(self, first, second, rng):
+        stack = _density_stack(rng, 9, 3)
+        first(stack[3], rng)
+        second(stack[6], rng)
+        batched = _raised(DensityMatrix.stack, stack)
+        assert str(batched) == str(_raised(DensityMatrix, stack[3]))
+        assert batched.index == 3
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(ValidationError, match="square"):
+            DensityMatrix.stack(np.eye(2))
+
+
 class TestEigendecompose:
     def test_already_diagonal(self):
         dec = eigendecompose(qubit_hamiltonian(1.0))

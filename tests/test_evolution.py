@@ -32,7 +32,7 @@ from realclock_qm import (
     unitary_evolve,
 )
 from realclock_qm.clocks import ExpansionClock, pdf, sigma
-from realclock_qm.evolution import _expansion_drift, _simpson_weights
+from realclock_qm.evolution import _expansion_drift, _rk4_factors, _simpson_weights
 from helpers import plus_state, qubit_hamiltonian, random_density, random_hermitian
 
 QUBIT = qubit_hamiltonian(1.0)
@@ -483,6 +483,18 @@ class TestConservation:
         direct = float(np.real(np.trace(c @ traj[-1][1].matrix)))
         assert report.samples[-1][1] == pytest.approx(direct, abs=1e-12)
 
+    def test_samples_match_per_state_trace(self, rng):
+        h = random_hermitian(rng, 4, norm=1.2)
+        rho = random_density(rng, 4)
+        observable = HermitianOperator(h.matrix @ h.matrix - 0.3 * h.matrix)
+        report = despagnat_conservation(observable, h, rho, constant_width_growth(0.3), 3.0,
+                                        default_cfg())
+        traj = evolve_master(rho, h, constant_width_growth(0.3), 3.0, default_cfg())
+        assert [t for t, _ in report.samples] == [t for t, _ in traj]
+        for (_, value), (_, state) in zip(report.samples, traj):
+            assert isinstance(value, float)
+            assert abs(value - np.real(np.trace(observable.matrix @ state.matrix))) <= 1e-14
+
     def test_noncommuting_rejected_with_norm(self, rng):
         h = qubit_hamiltonian(1.0)
         pauli_x = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -505,6 +517,52 @@ def test_evolve_master_reports_growing_coherence_as_integration_failure():
     clock = ExpansionClock(b=lambda T: 0.0, b_rate=lambda T: 0.0, a=lambda T: 0.5)
     with pytest.raises(IntegrationFailureError, match="smaller step"):
         evolve_master(plus_state(), QUBIT, clock, 0.5, default_cfg())
+
+
+def test_integration_failure_names_the_first_invalid_output():
+    # coherence 0.3 grows like e^{T/2} and breaks positivity near T = 1
+    clock = ExpansionClock(b=lambda T: 0.0, b_rate=lambda T: 0.0, a=lambda T: 0.5)
+    rho0 = DensityMatrix(np.array([[0.5, 0.3], [0.3, 0.5]]))
+    with pytest.raises(IntegrationFailureError, match="smaller step") as excinfo:
+        evolve_master(rho0, QUBIT, clock, 2.0, default_cfg())
+    # the same outputs, built as evolve_master builds them, checked one by one
+    dec = eigendecompose(QUBIT)
+    times = [k * 1e-2 for k in range(201)]
+    times[-1] = 2.0
+    states = dec.from_eig(dec.to_eig(rho0.matrix) * _rk4_factors(clock, dec, times[:-1], 1e-2))
+    for t, m in zip(times[1:], states[1:]):
+        try:
+            DensityMatrix(m)
+        except ValidationError as exc:
+            first_t, scalar = t, exc
+            break
+    else:
+        pytest.fail("every output passed one by one")
+    assert 0.5 < first_t < 1.5
+    message = str(excinfo.value)
+    assert message.startswith(f"output at T = {first_t} ")
+    assert f"({scalar})" in message
+
+
+@pytest.mark.parametrize("clock, t_final, step", [
+    (constant_width_growth(0.25), 10.0, 1e-3),  # acceptance criterion 1's run
+    (FundamentalLimitClock(t_planck=1e-2, t_max=20.0), 8.0, 1e-2),
+    (IdealClock(), 1.0, 1e-2),
+], ids=["expansion", "fundamental", "ideal"])
+def test_trajectory_is_validated_by_one_eigvalsh_call(clock, t_final, step, monkeypatch):
+    rho0 = plus_state()
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    traj = evolve_master(rho0, QUBIT, clock, t_final, default_cfg(step))
+    n_out = round(t_final / step)
+    assert len(traj) == n_out + 1
+    assert calls == [(n_out, 2, 2)]
 
 
 @pytest.mark.parametrize("field", ["step", "t_min", "t_max", "quad_tol"])
