@@ -69,6 +69,7 @@ from .evolution import (
     make_wavepacket_clock,
     master_step,
     ordinary_probability,
+    smear_densities,
     smear_density,
 )
 from .zurek import (

@@ -29,7 +29,7 @@ import numpy as np
 from . import config as cfgmod
 from .clock_accuracy import experiment_report, salecker_wigner_error
 from .clocks import GaussianClock
-from .core import HermitianOperator, build_projector
+from .core import HermitianOperator, eigendecompose
 from .errors import ConfigError, RealClockQMError
 from .evolution import (
     ConditionalQuery,
@@ -39,7 +39,7 @@ from .evolution import (
     evolve_master,
     make_wavepacket_clock,
     ordinary_probability,
-    smear_density,
+    smear_densities,
 )
 from .zurek import (
     SpinBath,
@@ -192,6 +192,11 @@ def run_condprob(document: dict) -> RunResult:
     if "observable" not in section:
         raise ConfigError("config key 'condprob.observable': required")
     observable = HermitianOperator(cfgmod.complex_matrix(section["observable"]))
+    if observable.dim != hamiltonian.dim:
+        raise ConfigError(
+            f"config key 'condprob.observable': dimension {observable.dim} "
+            f"does not match system {hamiltonian.dim}"
+        )
     cfg = _evolution_config(document, 1.0)
     if (document.get("evolution") or {}).get("grid") is None:
         raise ConfigError("config key 'evolution.grid': required for condprob")
@@ -228,13 +233,14 @@ def run_condprob(document: dict) -> RunResult:
         probs = conditional_probabilities_analytic(clock, rho_sys, hamiltonian, queries, cfg)
         model = clock
 
+    smeared = smear_densities(rho_sys, hamiltonian, model, [q.t_center for q in queries], cfg)
+    observable_dec = eigendecompose(observable)
     columns = ["t_center", "o_center", "probability", "smeared_probability"]
-    rows = []
-    for query, prob in zip(queries, probs):
-        smeared = smear_density(rho_sys, hamiltonian, model, query.t_center, cfg)
-        window = build_projector(observable, query.o_center, query.o_halfwidth)
-        rows.append([query.t_center, query.o_center, prob,
-                     ordinary_probability(smeared, window)])
+    rows = [
+        [query.t_center, query.o_center, prob,
+         ordinary_probability(state, observable_dec.projector(query.o_center, query.o_halfwidth))]
+        for query, prob, state in zip(queries, probs, smeared)
+    ]
     return RunResult(columns=columns, rows=rows)
 
 

@@ -2,7 +2,7 @@
 
 Three routes are implemented and cross-checked against each other:
 
-* smear_density    -- mixture of sharply evolved states weighted by the
+* smear_densities  -- mixture of sharply evolved states weighted by the
                       clock-reading density (the defining integral).
 * evolve_master    -- differential form: d(rho)/dT = -i[H, rho]
                       - sigma(T) [H, [H, rho]], as one factor per output
@@ -15,7 +15,12 @@ Three routes are implemented and cross-checked against each other:
 The conditional-probability operations realize relational measurement:
 "probability that O is in a window given the clock reads T in a window",
 evaluated as a ratio of ideal-time integrals over a finite grid whose
-adequacy is checked by doubling it.
+adequacy is checked by doubling it. Their trace curves Tr(X rho(t)) come
+from the state's rank factors (_trace_curves): one (T x d)(d x d) amplitude
+GEMM per rank factor and distinct operator, however many windows of that
+operator are queried, plus one real product for all of them. A pure state
+(the wavepacket clock, any state given as a vector) costs one GEMM per
+operator; a full-rank mixed state costs d.
 """
 
 from __future__ import annotations
@@ -128,30 +133,66 @@ def _simpson_weights(t: np.ndarray) -> np.ndarray:
 
 
 def _phase_table(decomp: EnergyDecomposition, t: np.ndarray) -> np.ndarray:
-    """exp(-i omega_n t) for every grid time; shape (len(t), dim)."""
-    return np.exp(-1j * np.outer(t, decomp.eigenvalues))
+    """exp(-i omega_n t) for every time of the uniform grid t; shape (len(t), dim).
+
+    With t_j = t_0 + j dt and j = p B + q for a block length B = ceil(sqrt(T)),
+    the table is the outer product of the block offsets exp(-i omega (t_0 + p B dt))
+    and the in-block steps exp(-i omega q dt): about 2 sqrt(T) dim complex
+    exponentials instead of T dim.
+    """
+    n, w = len(t), decomp.eigenvalues
+    block = math.isqrt(n - 1) + 1
+    dt = (t[-1] - t[0]) / (n - 1)
+    offsets = np.exp(-1j * np.outer(t[0] + np.arange(0, n, block) * dt, w))
+    steps = np.exp(-1j * np.outer(np.arange(block) * dt, w))
+    return (offsets[:, None, :] * steps[None, :, :]).reshape(-1, len(w))[:n]
 
 
 def _trace_curves(
     rho: DensityMatrix,
-    ops: list[np.ndarray],
     decomp: EnergyDecomposition,
     t: np.ndarray,
+    requests: list[tuple[HermitianOperator, tuple[float, float] | None]],
 ) -> list[np.ndarray]:
-    """Tr(op * rho(t)) over the grid for each op, with rho evolving under decomp.
+    """Tr(X rho(t)) over the grid for each request, with rho evolving under decomp.
 
-    In the energy eigenbasis Tr(op rho(t)) = sum_nm op~[m,n] rho~[n,m]
-    e^{-i(omega_n - omega_m) t}; the phase table is shared between the ops
-    and the contraction runs as one BLAS product and one row-wise dot per op.
+    A request (O, None) asks for X = O; a request (O, (center, halfwidth))
+    asks for X = the projector onto O's eigenvalues within the window, by the
+    selection rule of EnergyDecomposition.projector. With rho = sum_k lam_k
+    phi_k phi_k^dagger (eigenvalues of magnitude up to d eps lam_max dropped),
+    H = V diag(omega) V^dagger and O = U diag(o) U^dagger,
+
+        Tr(X rho(t)) = sum_k lam_k sum_j f(o_j) |A_k(t)_j|^2,
+        A_k(t) = U^dagger V (e^{-i omega t} * V^dagger phi_k),
+
+    with f(o) = o for O itself and the window's 0/1 mask for a projector.
+    Each distinct operator is decomposed once; its amplitudes take one
+    (T x d)(d x d) GEMM per rank factor, and all its curves one real
+    (T x d)(d x n) product. Cost: rank(rho) GEMMs per distinct operator.
     """
-    rho_eig = decomp.to_eig(rho.matrix)
+    lam, phi = np.linalg.eigh(rho.matrix)
+    keep = np.abs(lam) > rho.dim * np.finfo(float).eps * np.max(np.abs(lam))
+    lam, coeffs = lam[keep], decomp.eigenvectors.conj().T @ phi[:, keep]
     phases = _phase_table(decomp, t)
-    phases_conj = phases.conj()
-    curves = []
-    for op in ops:
-        coeff = rho_eig * decomp.to_eig(op).T
-        curves.append(np.real(np.einsum("tn,tn->t", phases @ coeff, phases_conj)))
-    return curves
+    groups: dict[int, list[int]] = {}
+    for i, (operator, _) in enumerate(requests):
+        groups.setdefault(id(operator), []).append(i)
+    curves = {}
+    for members in groups.values():
+        dec_o = eigendecompose(requests[members[0]][0])
+        o = dec_o.eigenvalues
+        f = np.column_stack([o if window is None else np.abs(o - window[0]) <= window[1]
+                             for _, window in (requests[i] for i in members)]).astype(float)
+        basis = (dec_o.eigenvectors.conj().T @ decomp.eigenvectors).T  # (U^dagger V)^T
+        weight = None
+        for lam_k, c_k in zip(lam, coeffs.T):
+            amp = phases @ (c_k[:, None] * basis)
+            sq = amp.real ** 2  # |amp|^2 in place: peak memory stays at the old route's
+            sq += amp.imag ** 2
+            sq *= lam_k
+            weight = sq if weight is None else weight + sq
+        curves.update(zip(members, (weight @ f).T))
+    return [curves[i] for i in range(len(requests))]
 
 
 def _smearing_kernel(phases: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -164,6 +205,58 @@ def _smearing_kernel(phases: np.ndarray, weights: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def smear_densities(
+    rho_sys: DensityMatrix,
+    hamiltonian: HermitianOperator,
+    clock: ClockModel,
+    readings: list[float],
+    cfg: EvolutionConfig,
+) -> list[DensityMatrix]:
+    """State at each clock reading T: integral of U(t) rho U(t)^dagger P_t(T) dt.
+
+    The quadrature grid must both cover the support of P_.(T) and resolve
+    the density; for every reading the computed total weight is compared
+    against 1 and a half-resolution Simpson check bounds the discretization
+    error. Each output is divided by its computed weight, which enforces the
+    trace identity Tr(rho(T)) = Tr(rho_sys) exactly. The readings share one
+    eigendecomposition of H, one phase table and one (Q x T) weight array;
+    each reading costs two (d x T)(T x d) kernel GEMMs.
+    """
+    require_same_dim(rho_sys, hamiltonian, "Hamiltonian")
+    if isinstance(clock, IdealClock):
+        return [unitary_evolve(rho_sys, hamiltonian, reading) for reading in readings]
+    if not isinstance(clock, GaussianClock):
+        raise UnsupportedClockKindError(
+            f"smearing needs a pointwise clock density, not {type(clock).__name__}"
+        )
+    t = cfg.grid()
+    weights = np.array([pdf(clock, reading, t) for reading in readings], dtype=float)
+    simpson_w = _simpson_weights(t)
+    masses = weights @ simpson_w
+    for mass in masses:
+        if abs(mass - 1.0) > cfg.quad_tol:
+            raise InsufficientGridError(
+                f"grid [{cfg.t_min}, {cfg.t_max}] captures clock weight {mass:.12g} "
+                f"instead of 1 (tol {cfg.quad_tol:.1e}); widen or refine it"
+            )
+    dec = eigendecompose(hamiltonian)
+    rho_eig = dec.to_eig(rho_sys.matrix)
+    phases = _phase_table(dec, t)
+    coarse_w = _simpson_weights(t[::2])
+    states = []
+    for weight, mass in zip(weights, masses):
+        # rho~(T)_nm = rho~_nm * integral of P_t(T) e^{-i omega_nm t} dt
+        fine = _smearing_kernel(phases, simpson_w * weight)
+        coarse = _smearing_kernel(phases[::2], coarse_w * weight[::2])
+        # Richardson estimate: Simpson at full against half resolution
+        if float(np.max(np.abs(rho_eig * (fine - coarse)))) / 15.0 > cfg.quad_tol:
+            raise InsufficientGridError(
+                "grid too coarse for the requested quadrature tolerance; refine it"
+            )
+        states.append(DensityMatrix(dec.from_eig(rho_eig * fine / mass)))
+    return states
+
+
 def smear_density(
     rho_sys: DensityMatrix,
     hamiltonian: HermitianOperator,
@@ -171,42 +264,8 @@ def smear_density(
     reading: float,
     cfg: EvolutionConfig,
 ) -> DensityMatrix:
-    """State at clock reading T: integral of U(t) rho U(t)^dagger P_t(T) dt.
-
-    The quadrature grid must both cover the support of P_.(T) and resolve
-    the density; the computed total weight is compared against 1 and a
-    half-resolution Simpson check bounds the discretization error. The
-    output is divided by the computed weight, which enforces the trace
-    identity Tr(rho(T)) = Tr(rho_sys) exactly.
-    """
-    require_same_dim(rho_sys, hamiltonian, "Hamiltonian")
-    if isinstance(clock, IdealClock):
-        return unitary_evolve(rho_sys, hamiltonian, reading)
-    if not isinstance(clock, GaussianClock):
-        raise UnsupportedClockKindError(
-            f"smearing needs a pointwise clock density, not {type(clock).__name__}"
-        )
-    t = cfg.grid()
-    weights = np.asarray(pdf(clock, reading, t), dtype=float)
-    simpson_w = _simpson_weights(t)
-    mass = float(simpson_w @ weights)
-    if abs(mass - 1.0) > cfg.quad_tol:
-        raise InsufficientGridError(
-            f"grid [{cfg.t_min}, {cfg.t_max}] captures clock weight {mass:.12g} "
-            f"instead of 1 (tol {cfg.quad_tol:.1e}); widen or refine it"
-        )
-    dec = eigendecompose(hamiltonian)
-    rho_eig = dec.to_eig(rho_sys.matrix)
-    phases = _phase_table(dec, t)
-    # rho~(T)_nm = rho~_nm * integral of P_t(T) e^{-i omega_nm t} dt
-    fine = _smearing_kernel(phases, simpson_w * weights)
-    coarse = _smearing_kernel(phases[::2], _simpson_weights(t[::2]) * weights[::2])
-    # Richardson estimate: Simpson at full against half resolution
-    if float(np.max(np.abs(rho_eig * (fine - coarse)))) / 15.0 > cfg.quad_tol:
-        raise InsufficientGridError(
-            "grid too coarse for the requested quadrature tolerance; refine it"
-        )
-    return DensityMatrix(dec.from_eig(rho_eig * fine / mass))
+    """One reading of smear_densities."""
+    return smear_densities(rho_sys, hamiltonian, clock, [reading], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +468,6 @@ def _doubled_grid(cfg: EvolutionConfig) -> tuple[np.ndarray, slice]:
     return np.linspace(center - half, center + half, 2 * n - 1), slice(start, start + n)
 
 
-def _window_matrices(windows: list[tuple[HermitianOperator, float, float]]) -> list[np.ndarray]:
-    """Projector matrix per (operator, center, halfwidth), decomposing each
-    distinct operator once."""
-    decomps: dict[int, EnergyDecomposition] = {}
-    for operator, _, _ in windows:
-        if id(operator) not in decomps:
-            decomps[id(operator)] = eigendecompose(operator)
-    return [decomps[id(op)].projector(center, hw).matrix for op, center, hw in windows]
-
-
 def _conditional_ratio(
     weight: np.ndarray, p_sys: np.ndarray, simpson_w: np.ndarray, label: str
 ) -> float:
@@ -442,8 +491,8 @@ def _relational_ratios(
 ) -> list[float]:
     """Ratio of ideal-time integrals per query, given each query's clock
     weight on the doubled grid; accepted only if the base grid agrees."""
-    windows = _window_matrices([(q.observable, q.o_center, q.o_halfwidth) for q in queries])
-    p_sys_curves = _trace_curves(rho_sys, windows, eigendecompose(h_sys), t)
+    p_sys_curves = _trace_curves(rho_sys, eigendecompose(h_sys), t, [
+        (q.observable, (q.o_center, q.o_halfwidth)) for q in queries])
     w_base, w_wide = _simpson_weights(t[base]), _simpson_weights(t)
     results = []
     for weight, p_sys in zip(weights, p_sys_curves):
@@ -477,17 +526,21 @@ def conditional_probabilities(
     grid is then doubled (same spacing) and the result accepted only if it
     moves by less than quad_tol. The clock expectation must be strictly
     increasing over both grids (a clock must not read the same value twice).
-    Every trace curve is computed once, on the doubled grid, and the clock's
-    curves for all queries share one phase table.
+    Every trace curve is computed once, on the doubled grid, from the
+    states' rank factors (_trace_curves): the clock's reader and all its
+    reading windows share one amplitude GEMM per rank factor of rho_cl.
     """
+    require_same_dim(rho_cl, h_cl, "clock Hamiltonian")
     for query in queries:
         if query.clock_operator is None:
             raise ValidationError("quantum route needs query.clock_operator")
+        require_same_dim(rho_cl, query.clock_operator, "clock operator")
         _require_narrow_reading_window(query, cfg)
+    _require_system_dims(rho_sys, h_sys, queries)
     t, base = _doubled_grid(cfg)
-    readers = list({id(q.clock_operator): q.clock_operator.matrix for q in queries}.values())
-    windows = _window_matrices([(q.clock_operator, q.t_center, q.t_halfwidth) for q in queries])
-    curves = _trace_curves(rho_cl, readers + windows, eigendecompose(h_cl), t)
+    readers = list({id(q.clock_operator): q.clock_operator for q in queries}.values())
+    curves = _trace_curves(rho_cl, eigendecompose(h_cl), t, [(op, None) for op in readers] + [
+        (q.clock_operator, (q.t_center, q.t_halfwidth)) for q in queries])
     for readings in curves[: len(readers)]:
         for label, span in (("base", base), ("doubled", slice(None))):
             if np.any(np.diff(readings[span]) <= 0):
@@ -510,6 +563,13 @@ def conditional_probability(
     return conditional_probabilities(rho_cl, rho_sys, h_cl, h_sys, [query], cfg)[0]
 
 
+def _require_system_dims(rho_sys: DensityMatrix, h_sys: HermitianOperator,
+                         queries: list[ConditionalQuery]) -> None:
+    require_same_dim(rho_sys, h_sys, "system Hamiltonian")
+    for query in queries:
+        require_same_dim(rho_sys, query.observable, "observable")
+
+
 def _require_narrow_reading_window(query: ConditionalQuery, cfg: EvolutionConfig) -> None:
     if query.t_halfwidth >= 0.01 * (cfg.t_max - cfg.t_min):
         raise ValidationError(
@@ -530,6 +590,7 @@ def conditional_probabilities_analytic(
     whose window width cancels between numerator and denominator."""
     for query in queries:
         _require_narrow_reading_window(query, cfg)
+    _require_system_dims(rho_sys, h_sys, queries)
     t, base = _doubled_grid(cfg)
     weights = [np.asarray(pdf(clock, q.t_center, t), dtype=float) for q in queries]
     return _relational_ratios(weights, rho_sys, h_sys, queries, t, base, cfg)

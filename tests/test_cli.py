@@ -228,6 +228,17 @@ class TestCondprobCommand:
             assert abs(row[p] - row[s]) <= 1e-8
             assert -1e-8 <= row[p] <= 1 + 1e-8
 
+    def test_observable_dimension_is_config_error(self, tmp_path, capsys):
+        cfg = str(Path(__file__).resolve().parents[1] / "configs" / "condprob_analytic.json")
+        eye3 = [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(3)] for i in range(3)]
+        out = tmp_path / "o.csv"
+        code = run_cli("condprob", "--config", cfg, "--out", str(out),
+                       "--set", f"condprob.observable={json.dumps(eye3)}")
+        assert code == 2
+        assert ("config key 'condprob.observable': dimension 3 does not match system 2"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestClockLimitsCommand:
     def test_report_row(self, tmp_path):

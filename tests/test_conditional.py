@@ -5,6 +5,7 @@ from realclock_qm import (
     ClockFoldingError,
     ConditionalQuery,
     DensityMatrix,
+    DimensionMismatchError,
     EvolutionConfig,
     GaussianClock,
     GridConvergenceError,
@@ -19,9 +20,11 @@ from realclock_qm import (
     make_wavepacket_clock,
     ordinary_probability,
     smear_density,
+    unitary_evolve,
 )
 from realclock_qm import evolution
-from realclock_qm.evolution import _doubled_grid
+from realclock_qm.core import EnergyDecomposition
+from realclock_qm.evolution import _doubled_grid, _phase_table, _trace_curves
 from helpers import PAULI_X, plus_state, qubit_hamiltonian, random_hermitian, random_pure
 
 OBS_X = HermitianOperator(PAULI_X)
@@ -260,3 +263,152 @@ def test_query_rejects_non_finite(field, value):
     params[field] = value
     with pytest.raises(ValidationError, match=f"{field} must be finite"):
         ConditionalQuery(**params)
+
+
+# ---------------------------------------------------------------------------
+# Trace curves from the state's rank factors
+# ---------------------------------------------------------------------------
+
+
+def contraction_curves(rho, decomp, t, requests):
+    """Oracle: per-operator contraction in the energy eigenbasis,
+    Tr(X rho(t)) = sum_nm X~[m,n] rho~[n,m] e^{-i(omega_n - omega_m) t},
+    one GEMM per operator matrix X (the operator itself or a window projector)."""
+    rho_eig = decomp.to_eig(rho.matrix)
+    phases = np.exp(-1j * np.outer(t, decomp.eigenvalues))
+    curves = []
+    for operator, window in requests:
+        x = (operator.matrix if window is None
+             else eigendecompose(operator).projector(*window).matrix)
+        coeff = rho_eig * decomp.to_eig(x).T
+        curves.append(np.real(np.einsum("tn,tn->t", phases @ coeff, phases.conj())))
+    return curves
+
+
+def random_state_of_rank(rng, dim, rank):
+    vecs = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = (vecs * rng.uniform(0.2, 1.0, size=rank)) @ vecs.conj().T
+    return DensityMatrix(rho / np.real(np.trace(rho)))
+
+
+def degenerate_operator(rng, dim):
+    """U diag(levels) U^dagger with integer levels in [-1, 1], so windows of
+    halfwidth 0.5 around a level hold whole degenerate subspaces."""
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    levels = rng.integers(-1, 2, size=dim).astype(float)
+    m = (basis * levels) @ basis.conj().T
+    return HermitianOperator(0.5 * (m + m.conj().T))
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+@pytest.mark.parametrize("rank", ["1", "2", "d"])
+def test_rank_factor_curves_match_contraction(dim, rank, rng):
+    r = {"1": 1, "2": 2, "d": dim}[rank]
+    rho = random_state_of_rank(rng, dim, r)
+    decomp = eigendecompose(random_hermitian(rng, dim, norm=2.0))
+    general = random_hermitian(rng, dim, norm=1.5)
+    degenerate = degenerate_operator(rng, dim)
+    evals = np.linalg.eigvalsh(general.matrix)
+    requests = [
+        (general, None),
+        (degenerate, None),
+        (general, (float(evals[-1]), 0.5 * float(evals[-1] - evals[-2]))),
+        (degenerate, (0.0, 0.5)),
+        (degenerate, (1.0, 0.5)),
+        (general, (0.0, 10.0)),
+        (degenerate, (5.0, 0.5)),  # empty window
+    ]
+    t = np.linspace(-3.0, 7.0, 401)
+    curves = _trace_curves(rho, decomp, t, requests)
+    for got, want in zip(curves, contraction_curves(rho, decomp, t, requests)):
+        assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(curves[5] - 1.0)) <= 1e-12  # window over the whole spectrum
+    assert np.max(np.abs(curves[6])) == 0.0
+
+
+def test_window_curve_is_projector_trace_of_evolved_state(rng):
+    dim = 6
+    rho = random_state_of_rank(rng, dim, 2)
+    h = random_hermitian(rng, dim, norm=2.0)
+    obs = degenerate_operator(rng, dim)
+    edges = HermitianOperator(np.diag([-1.0, 0.0, 0.0, 1.0, 1.0, 2.0]))  # exact levels
+    t = np.linspace(-2.0, 4.0, 31)
+    requests = [(obs, w) for w in [(-1.0, 0.5), (0.0, 0.5), (1.0, 0.5), (0.5, 1.0)]]
+    requests += [(edges, (0.5, 0.5)), (edges, (1.5, 0.25))]  # levels on and off the edges
+    curves = _trace_curves(rho, eigendecompose(h), t, requests)
+    for (operator, (center, hw)), curve in zip(requests, curves):
+        projector = eigendecompose(operator).projector(center, hw).matrix
+        for k in (0, 7, 18, 30):
+            state = unitary_evolve(rho, h, float(t[k])).matrix
+            assert abs(curve[k] - np.real(np.trace(projector @ state))) <= 1e-12
+
+
+def test_mixed_clock_state_matches_contraction_route(packet, monkeypatch):
+    # a rank-2 clock: the packet mixed with its copy shifted by one site
+    shifted = np.roll(np.roll(packet.rho.matrix, 1, axis=0), 1, axis=1)
+    rho_cl = DensityMatrix(0.7 * packet.rho.matrix + 0.3 * shifted)
+    h_sys = qubit_hamiltonian(0.15)
+    route = TestQuantumRoute()
+    sites = [route._site_query(packet, target) for target in (8.5, 9.0)]
+    queries = [query for query, _ in sites]
+    cfg = route._cfg(packet, sites[0][1])
+
+    def run():
+        return conditional_probabilities(rho_cl, plus_state(), packet.hamiltonian, h_sys,
+                                         queries, cfg)
+
+    factored = run()
+    monkeypatch.setattr(evolution, "_trace_curves", contraction_curves)
+    for got, want in zip(factored, run()):
+        assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 3001, 6001, 8001])
+def test_blocked_phase_table_matches_direct_exponentials(n, rng):
+    w = np.sort(rng.uniform(-2.0, 2.0, size=7))
+    w[0], w[-1] = -2.0, 2.0
+    decomp = EnergyDecomposition(eigenvalues=w, eigenvectors=np.eye(7))
+    t = np.linspace(-150.0, 130.0, n)  # |w t| up to 300
+    table = _phase_table(decomp, t)
+    assert table.shape == (n, 7)
+    assert np.max(np.abs(table - np.exp(-1j * np.outer(t, w)))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Dimension checks of the relational routes
+# ---------------------------------------------------------------------------
+
+QUBIT_QUERY = dict(o_center=1.0, o_halfwidth=0.5, t_center=2.0, t_halfwidth=1e-3)
+
+
+@pytest.mark.parametrize("wrong", ["rho_cl", "h_cl", "clock_operator", "rho_sys", "h_sys",
+                                   "observable"])
+def test_quantum_route_rejects_dimension_mismatch(wrong, rng):
+    three = random_hermitian(rng, 3)
+    args = dict(rho_cl=plus_state(), rho_sys=plus_state(), h_cl=qubit_hamiltonian(1.0),
+                h_sys=qubit_hamiltonian(1.0))
+    query = dict(QUBIT_QUERY, observable=OBS_X, clock_operator=HermitianOperator(PAULI_X))
+    if wrong in ("rho_cl", "rho_sys"):
+        args[wrong] = random_pure(rng, 3)
+    elif wrong in args:
+        args[wrong] = three
+    else:
+        query[wrong] = three
+    with pytest.raises(DimensionMismatchError, match="dimension"):
+        conditional_probabilities(queries=[ConditionalQuery(**query)],
+                                  cfg=analytic_cfg(2.0, 0.8), **args)
+
+
+@pytest.mark.parametrize("wrong", ["rho_sys", "h_sys", "observable"])
+def test_analytic_route_rejects_dimension_mismatch(wrong, rng):
+    rho_sys, h_sys, observable = plus_state(), qubit_hamiltonian(1.0), OBS_X
+    if wrong == "rho_sys":
+        rho_sys = random_pure(rng, 3)
+    elif wrong == "h_sys":
+        h_sys = random_hermitian(rng, 3)
+    else:
+        observable = random_hermitian(rng, 3)
+    query = ConditionalQuery(observable=observable, **QUBIT_QUERY)
+    with pytest.raises(DimensionMismatchError, match="dimension"):
+        conditional_probabilities_analytic(GaussianClock(width=0.8), rho_sys, h_sys, [query],
+                                           analytic_cfg(2.0, 0.8))

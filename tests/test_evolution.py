@@ -28,6 +28,7 @@ from realclock_qm import (
     fundamental_decay_factor,
     master_step,
     ordinary_probability,
+    smear_densities,
     smear_density,
     unitary_evolve,
 )
@@ -93,6 +94,37 @@ class TestSmearDensity:
     def test_expansion_clock_unsupported(self):
         with pytest.raises(UnsupportedClockKindError):
             smear_density(plus_state(), QUBIT, constant_width_growth(0.1), 1.0, default_cfg())
+
+
+class TestSmearDensities:
+    @pytest.mark.parametrize("clock", [GaussianClock(width=0.9), IdealClock()],
+                             ids=["gaussian", "ideal"])
+    def test_batch_equals_single_readings(self, clock, rng):
+        rho = random_density(rng, 5)
+        h = random_hermitian(rng, 5, norm=1.5)
+        # the last reading sits near the grid's end: its clock weight is ~1 - 5e-4
+        readings = [-1.0, 0.5, 2.0, 2.25, 8.0]
+        cfg = EvolutionConfig(step=1e-2, t_min=-9.0, t_max=11.0, n_points=2001, quad_tol=1e-3)
+        batch = smear_densities(rho, h, clock, readings, cfg)
+        assert len(batch) == len(readings)
+        for reading, state in zip(readings, batch):
+            single = smear_density(rho, h, clock, reading, cfg)
+            assert np.max(np.abs(state.matrix - single.matrix)) <= 1e-14
+
+    def test_one_reading_off_the_grid_is_rejected(self):
+        cfg = EvolutionConfig(step=1e-2, t_min=-8.0, t_max=9.0, n_points=1701)
+        clock = GaussianClock(width=1.0)
+        assert len(smear_densities(plus_state(), QUBIT, clock, [0.0, 1.0], cfg)) == 2
+        with pytest.raises(InsufficientGridError, match="clock weight"):
+            smear_densities(plus_state(), QUBIT, clock, [0.0, 7.5, 1.0], cfg)
+
+    def test_coarse_grid_is_rejected_for_any_reading(self):
+        # a narrow clock at the second reading is not resolved by the grid
+        clock = GaussianClock(width=lambda reading: 1.0 if reading < 1.0 else 0.5)
+        cfg = EvolutionConfig(step=1e-2, t_min=-6.0, t_max=8.0, n_points=101)
+        assert len(smear_densities(plus_state(), QUBIT, clock, [0.0], cfg)) == 1
+        with pytest.raises(InsufficientGridError, match="too coarse"):
+            smear_densities(plus_state(), QUBIT, clock, [0.0, 2.0], cfg)
 
 
 @pytest.mark.parametrize("n", list(range(2, 10)) + [1003, 4001])
