@@ -225,18 +225,25 @@ class EnergyDecomposition:
         exponent = np.asarray(exponent, dtype=float)[..., None, None]
         return np.exp(-1j * b * t - b * b * exponent)
 
-    def projector(self, center: float, halfwidth: float) -> Projector:
-        """Projector onto eigenvectors with eigenvalue in [center - hw, center + hw].
+    def window(self, center: float, halfwidth: float) -> np.ndarray:
+        """Boolean mask of the eigenvalues in [center - hw, center + hw].
 
         The selection compares eigenvalues only, so within a degenerate
-        subspace either every eigenvector is included or none is; the result
-        is therefore basis independent. An empty selection yields the zero
-        matrix.
+        subspace either every eigenvector is included or none is.
         """
         require_finite(center=center, halfwidth=halfwidth)
         if halfwidth <= 0:
             raise ValidationError(f"halfwidth must be positive, got {halfwidth}")
-        cols = self.eigenvectors[:, np.abs(self.eigenvalues - center) <= halfwidth]
+        return np.abs(self.eigenvalues - center) <= halfwidth
+
+    def projector(self, center: float, halfwidth: float) -> Projector:
+        """Projector onto the eigenvectors selected by window(center, halfwidth).
+
+        It is basis independent, because the window takes a degenerate
+        subspace whole or not at all. An empty selection yields the zero
+        matrix.
+        """
+        cols = self.eigenvectors[:, self.window(center, halfwidth)]
         return Projector(matrix=cols @ cols.conj().T, interval=(center, halfwidth))
 
 

@@ -20,7 +20,8 @@ from the state's rank factors (_trace_curves): one (T x d)(d x d) amplitude
 GEMM per rank factor and distinct operator, however many windows of that
 operator are queried, plus one real product for all of them. A pure state
 (the wavepacket clock, any state given as a vector) costs one GEMM per
-operator; a full-rank mixed state costs d.
+operator; a full-rank mixed state of dimension d, such as a system state
+given as a matrix, costs d.
 """
 
 from __future__ import annotations
@@ -138,11 +139,14 @@ def _phase_table(decomp: EnergyDecomposition, t: np.ndarray) -> np.ndarray:
     With t_j = t_0 + j dt and j = p B + q for a block length B = ceil(sqrt(T)),
     the table is the outer product of the block offsets exp(-i omega (t_0 + p B dt))
     and the in-block steps exp(-i omega q dt): about 2 sqrt(T) dim complex
-    exponentials instead of T dim.
+    exponentials instead of T dim. A grid that is not uniform is rejected,
+    since its phases would be taken at the wrong times.
     """
     n, w = len(t), decomp.eigenvalues
     block = math.isqrt(n - 1) + 1
     dt = (t[-1] - t[0]) / (n - 1)
+    if np.max(np.abs(np.diff(t) - dt)) > 1e-9 * abs(dt):
+        raise ValidationError("the phase table needs a uniform grid")
     offsets = np.exp(-1j * np.outer(t[0] + np.arange(0, n, block) * dt, w))
     steps = np.exp(-1j * np.outer(np.arange(block) * dt, w))
     return (offsets[:, None, :] * steps[None, :, :]).reshape(-1, len(w))[:n]
@@ -157,10 +161,11 @@ def _trace_curves(
     """Tr(X rho(t)) over the grid for each request, with rho evolving under decomp.
 
     A request (O, None) asks for X = O; a request (O, (center, halfwidth))
-    asks for X = the projector onto O's eigenvalues within the window, by the
-    selection rule of EnergyDecomposition.projector. With rho = sum_k lam_k
-    phi_k phi_k^dagger (eigenvalues of magnitude up to d eps lam_max dropped),
-    H = V diag(omega) V^dagger and O = U diag(o) U^dagger,
+    asks for X = the projector onto O's eigenvalues selected by
+    EnergyDecomposition.window, the rule of EnergyDecomposition.projector.
+    With rho = sum_k lam_k phi_k phi_k^dagger (eigenvalues of magnitude up
+    to d eps lam_max dropped), H = V diag(omega) V^dagger and
+    O = U diag(o) U^dagger,
 
         Tr(X rho(t)) = sum_k lam_k sum_j f(o_j) |A_k(t)_j|^2,
         A_k(t) = U^dagger V (e^{-i omega t} * V^dagger phi_k),
@@ -181,7 +186,7 @@ def _trace_curves(
     for members in groups.values():
         dec_o = eigendecompose(requests[members[0]][0])
         o = dec_o.eigenvalues
-        f = np.column_stack([o if window is None else np.abs(o - window[0]) <= window[1]
+        f = np.column_stack([o if window is None else dec_o.window(*window)
                              for _, window in (requests[i] for i in members)]).astype(float)
         basis = (dec_o.eigenvectors.conj().T @ decomp.eigenvectors).T  # (U^dagger V)^T
         weight = None

@@ -374,6 +374,14 @@ def test_blocked_phase_table_matches_direct_exponentials(n, rng):
     assert np.max(np.abs(table - np.exp(-1j * np.outer(t, w)))) <= 1e-12
 
 
+def test_phase_table_rejects_a_non_uniform_grid():
+    decomp = EnergyDecomposition(eigenvalues=np.array([-1.0, 2.0]), eigenvectors=np.eye(2))
+    t = np.linspace(0.0, 10.0, 101)
+    t[50] += 1e-6
+    with pytest.raises(ValidationError, match="uniform grid"):
+        _phase_table(decomp, t)
+
+
 # ---------------------------------------------------------------------------
 # Dimension checks of the relational routes
 # ---------------------------------------------------------------------------

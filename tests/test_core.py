@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 from realclock_qm import (
     DensityMatrix,
+    EnergyDecomposition,
     HermitianOperator,
     Projector,
     ValidationError,
@@ -214,6 +215,18 @@ class TestEigendecompose:
             reference = build_projector(a, center, halfwidth)
             assert window.interval == reference.interval
             assert np.max(np.abs(window.matrix - reference.matrix)) <= 1e-14
+
+    def test_window_is_the_projector_selection(self):
+        dec = EnergyDecomposition(eigenvalues=np.array([-1.0, 0.5, 0.5, 1.0, 2.5]),
+                                  eigenvectors=np.eye(5))
+        mask = dec.window(0.75, 0.25)  # both edges sit on eigenvalues
+        assert mask.dtype == bool
+        assert mask.tolist() == [False, True, True, True, False]
+        assert np.array_equal(np.diag(dec.projector(0.75, 0.25).matrix).real, mask)
+        with pytest.raises(ValidationError, match="halfwidth"):
+            dec.window(0.0, 0.0)
+        with pytest.raises(ValidationError, match="finite"):
+            dec.window(float("nan"), 0.5)
 
 
 class TestBuildProjector:
