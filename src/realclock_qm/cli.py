@@ -10,13 +10,25 @@ files, and sweeps give byte-identical files for any worker-pool size
 configuration. CSV uses 17 significant digits, scientific notation, LF
 line endings, and comma-free column names (gnuplot friendly).
 
+Every CSV number is the text of ``"%.16e" % value``. A table of numbers is
+formatted in numpy blocks of BLOCK_CELLS cells and each block is written to
+the file as soon as it is ready: the correctly rounded 17-digit mantissa
+comes from a double-double product with an exact power of ten, and the
+text from digit lookup tables. A row is formatted by the printf template
+instead when one of its cells is not finite, lies outside [1e-99, 1e99)
+without being zero, or lies within 1e-6 of a rounding tie, so the bytes
+are always those of the template. Tables with a string column use the
+template throughout.
+
 Exit codes: 0 success, 2 configuration, 3 numeric failure, 4 I/O failure.
+A result holding NaN or an infinity is a numeric failure and is not written.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import os
@@ -56,8 +68,11 @@ BRUTE_FORCE_CHECK_TOL = 1e-9
 
 @dataclass
 class RunResult:
+    """A run's main table and any named extra tables; the rows of a table
+    are a list of lists or a 2-D float array."""
+
     columns: list[str]
-    rows: list[list]
+    rows: list[list] | np.ndarray
     tables: list[tuple[str, list[str], list[list]]] = field(default_factory=list)
 
 
@@ -103,7 +118,7 @@ def run_evolve(document: dict) -> RunResult:
     purity = np.einsum("kij,kji->k", stack, stack).real
     energy = np.einsum("ij,kji->k", hamiltonian.matrix, stack).real
     rows = np.column_stack([times, stack.view(float).reshape(len(stack), -1),
-                            purity, energy]).tolist()
+                            purity, energy])
     return RunResult(columns=columns, rows=rows)
 
 
@@ -163,7 +178,7 @@ def run_zurek(document: dict) -> RunResult:
     columns = ["t", "re_z_ideal", "im_z_ideal", "abs_z_ideal",
                "re_z_realclock", "im_z_realclock", "abs_z_realclock"]
     rows = np.column_stack([times, ideal.real, ideal.imag, np.abs(ideal),
-                            real.real, real.imag, np.abs(real)]).tolist()
+                            real.real, real.imag, np.abs(real)])
 
     tables = []
     rec = section.get("recurrence")
@@ -171,11 +186,14 @@ def run_zurek(document: dict) -> RunResult:
         modes = rec.get("modes", ["ideal", "realclock"])
         rec_samples = int(rec.get("n_samples", max(n_samples, 1000)))
         threshold = float(rec["threshold"])
+        # every mode scans the same grid; on the main table's grid, reuse it
+        scan_z = (ideal if rec_samples == n_samples
+                  else z_ideal(bath, np.linspace(0.0, horizon, rec_samples)))
         exc_rows = []
         for mode in modes:
             scan = recurrence_scan(
                 bath, mode, horizon, rec_samples, threshold,
-                t_planck=t_planck if mode == "realclock" else None,
+                t_planck=t_planck if mode == "realclock" else None, z_grid=scan_z,
             )
             for t_peak, value in scan.exceedances:
                 exc_rows.append([mode, float(t_peak), float(value)])
@@ -274,7 +292,7 @@ def summarize(command: str, result: RunResult) -> list[float]:
     """Reduce a run's table to the sweep summary row (same code path for
     degenerate sweeps, so an n=1 sweep reproduces the single run exactly)."""
     cols = {name: i for i, name in enumerate(result.columns)}
-    first, last = result.rows[0], result.rows[-1]
+    first, last = _as_lists(result.rows[0]), _as_lists(result.rows[-1])
     if command == "evolve":
         def offdiag(row):
             return math.hypot(row[cols["re_rho_0_1"]], row[cols["im_rho_0_1"]])
@@ -350,35 +368,161 @@ RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-def _csv_lines(columns: list[str], rows: list[list]) -> list[str]:
-    """Header plus one line per row. Every row is formatted with the row
-    template of the first: a string cell as is, any other as float with 17
-    significant digits."""
-    if not rows:
-        return [",".join(columns)]
-    template = ",".join("%s" if isinstance(v, str) else "%.16e" for v in rows[0])
-    return [",".join(columns)] + [template % tuple(row) for row in rows]
+BLOCK_CELLS = 1 << 14  # cells formatted and written at a time
+# powers of ten 10^k the fast path scales by: k = 16 - e for every exponent
+# estimate e in [-100, 99] that log10 can give on [1e-99, 1e99)
+_K_MIN, _K_MAX = -83, 116
+
+
+def _words(*byte_columns) -> np.ndarray:
+    """Native uint32 words whose four bytes are the given columns."""
+    columns = np.broadcast_arrays(*byte_columns)
+    return np.stack(columns, axis=-1).astype(np.uint8).view(np.uint32)[..., 0]
+
+
+@functools.cache
+def _decimal_tables() -> tuple[np.ndarray, ...]:
+    """Exact powers of ten as ``hi + lo`` float pairs for k in [_K_MIN, _K_MAX],
+    and the text words of a cell (see _format_cells); built on first use."""
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        if k >= 0:
+            exact = 10**k
+            hi.append(float(exact))
+            lo.append(float(exact - int(hi[-1])))
+        else:
+            den = 10**-k
+            hi.append(1 / den)
+            num, pow2 = hi[-1].as_integer_ratio()
+            lo.append((pow2 - num * den) / (pow2 * den))  # 1/den - num/pow2
+    digit = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1) + ord("0")
+    exponent = np.arange(-99, 100)
+    return (
+        np.array(hi), np.array(lo),
+        _words(ord("-"), digit[2, :100], ord("."), digit[3, :100]),  # "-d.d"
+        _words(*digit),  # "dddd"
+        _words(*digit[1:, :1000], ord("e")),  # "ddde"
+        _words(np.where(exponent < 0, ord("-"), ord("+")),
+               *digit[2:, abs(exponent)], 0),  # "+dd" and room for the separator
+    )
+
+
+def _veltkamp_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _format_cells(x: np.ndarray, out: np.ndarray, separators: np.ndarray) -> np.ndarray:
+    """Write ``"%.16e" % v`` for every cell v of the 2-D float array ``x``
+    into its six uint32 words ``out[i, j]``: the 24 bytes "-d.d", four
+    "dddd" and "ddde", and "+dd" plus the cell's separator (from
+    ``separators``, one word per column). The leading '-' is meant to be
+    dropped for non-negative cells. Returns which rows are exact: a row
+    holding a cell that is not finite, lies outside [1e-99, 1e99) (a
+    three-digit exponent, or subnormal) without being zero, or lies within
+    1e-6 of a rounding tie is left for the printf template.
+
+    The 17-digit mantissa is round(|v| 10^(16-e)): the product with
+    10^(16-e) = hi + lo is taken as a double-double (Dekker's product on
+    Veltkamp halves, plus |v| lo), so its error is far below 1e-6, and
+    the estimated exponent e is kept only if the unrounded product lies
+    in [10^16, 10^17).
+    """
+    pow_hi, pow_lo, lead_words, digit_words, tail_words, exponent_words = _decimal_tables()
+    ax = np.abs(x)
+    zero = ax == 0.0
+    normal = (ax >= 1e-99) & (ax < 1e99)
+    a = np.where(normal, ax, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    k = 16 - e - _K_MIN
+    hi, lo = pow_hi.take(k, mode="clip"), pow_lo.take(k, mode="clip")
+    p = a * hi  # >= 2**53 when in range, so an integer
+    a_hi, a_lo = _veltkamp_split(a)
+    b_hi, b_lo = _veltkamp_split(hi)
+    t = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo + a * lo
+    r = np.rint(t)
+    m = p.astype(np.int64) + r.astype(np.int64)
+    exact = (normal & (np.abs(t - r) < 0.5 - 1e-6)
+             & ((p > 1e16) | ((p == 1e16) & (t >= 0.0))) & (m < 10**17)) | zero
+    written = exact & ~zero
+    m *= written
+    e *= written
+
+    rest = m
+    for word, (scale, table) in enumerate([(10**15, lead_words), (10**11, digit_words),
+                                           (10**7, digit_words), (10**3, digit_words)]):
+        group = rest // scale
+        rest = rest - group * scale
+        out[..., word] = table.take(group)
+    out[..., 4] = tail_words.take(rest)
+    out[..., 5] = exponent_words.take(e + 99) | separators
+    return exact.all(axis=1)
+
+
+def _write_float_rows(fh, values: np.ndarray) -> None:
+    """Write the rows of a 2-D float array as CSV lines, every cell as
+    ``"%.16e" % v``, formatted and written BLOCK_CELLS cells at a time. Rows
+    that _format_cells cannot vouch for go through the printf template."""
+    n_rows, n_cols = values.shape
+    block_rows = min(n_rows, max(1, BLOCK_CELLS // n_cols))
+    text = np.empty((block_rows, n_cols, 24), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    separators = _words(0, 0, 0, np.where(np.arange(n_cols) < n_cols - 1, ord(","), ord("\n")))
+    template = ",".join(["%.16e"] * n_cols) + "\n"
+    for start in range(0, n_rows, block_rows):
+        block = values[start:start + block_rows]
+        n = len(block)
+        exact = _format_cells(block, text[:n].view(np.uint32), separators)
+        keep[:n, :, 0] = np.signbit(block)
+        done = 0
+        for row in [*np.flatnonzero(~exact).tolist(), n]:
+            if row > done:
+                fh.write(text[done:row][keep[done:row]].tobytes())
+            if row < n:
+                fh.write((template % tuple(block[row].tolist())).encode())
+            done = row + 1
+
+
+def _write_table(fh, columns: list[str], rows) -> None:
+    """Header plus one line per row. A table of numbers goes through
+    _write_float_rows; any other is formatted with the row template of its
+    first row: a string cell as is, any other as ``%.16e``."""
+    fh.write((",".join(columns) + "\n").encode())
+    if len(rows) == 0:
+        return
+    if isinstance(rows, np.ndarray) or not any(isinstance(v, str) for v in rows[0]):
+        _write_float_rows(fh, np.asarray(rows, dtype=float))
+    else:
+        template = ",".join("%s" if isinstance(v, str) else "%.16e" for v in rows[0]) + "\n"
+        fh.write("".join(template % tuple(row) for row in rows).encode())
 
 
 def write_csv(path: str, document: dict, result: RunResult) -> None:
-    lines = ["# realclock-qm output",
-             "# config: " + json.dumps(document, sort_keys=True)]
-    lines += _csv_lines(result.columns, result.rows)
-    for name, columns, rows in result.tables:
-        lines += ["", f"# table: {name}"] + _csv_lines(columns, rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(("# realclock-qm output\n# config: "
+                  + json.dumps(document, sort_keys=True) + "\n").encode())
+        _write_table(fh, result.columns, result.rows)
+        for name, columns, rows in result.tables:
+            fh.write(f"\n# table: {name}\n".encode())
+            _write_table(fh, columns, rows)
+
+
+def _as_lists(rows) -> list:
+    """Rows (or one row) as Python lists of Python numbers."""
+    return rows.tolist() if isinstance(rows, np.ndarray) else rows
 
 
 def write_json(path: str, document: dict, result: RunResult) -> None:
     payload = {
         "config": document,
         "columns": result.columns,
-        "rows": [dict(zip(result.columns, row)) for row in result.rows],
+        "rows": [dict(zip(result.columns, row)) for row in _as_lists(result.rows)],
     }
     if result.tables:
         payload["tables"] = {
-            name: {"columns": columns, "rows": [dict(zip(columns, row)) for row in rows]}
+            name: {"columns": columns,
+                   "rows": [dict(zip(columns, row)) for row in _as_lists(rows)]}
             for name, columns, rows in result.tables
         }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -430,6 +574,21 @@ def _resolve_document(args) -> dict:
     return document
 
 
+def _non_finite_column(result: RunResult) -> str | None:
+    """Name of the first column, table by table, that holds NaN or an
+    infinity; None when every number in the result is finite."""
+    for columns, rows in [(result.columns, result.rows)] + [t[1:] for t in result.tables]:
+        if isinstance(rows, np.ndarray):
+            bad = ~np.isfinite(rows).all(axis=0)
+            if bad.any():
+                return columns[int(np.argmax(bad))]
+            continue
+        for j, name in enumerate(columns):
+            if any(not isinstance(row[j], str) and not math.isfinite(row[j]) for row in rows):
+                return name
+    return None
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
     try:
@@ -448,6 +607,11 @@ def main(argv=None) -> int:
         return 3
     except Exception as exc:  # last resort: one line, never a traceback
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+
+    bad_column = _non_finite_column(result)
+    if bad_column is not None:
+        print(f"numeric failure: non-finite value in column {bad_column}", file=sys.stderr)
         return 3
 
     try:

@@ -237,6 +237,7 @@ def recurrence_scan(
     n_samples: int,
     threshold: float,
     t_planck: float | None = None,
+    z_grid: np.ndarray | None = None,
 ) -> RecurrenceScan:
     """Scan |z| on [0, horizon] for returns of coherence above a threshold.
 
@@ -245,7 +246,10 @@ def recurrence_scan(
     around them (absolute time tolerance 1e-6); refined peaks closer than
     1e-5 are merged into the higher one. ``running_sup[i]`` is the
     supremum of the sampled |z| over [times[i], horizon]. ``mode`` is
-    "ideal" or "realclock" (the latter needs t_planck).
+    "ideal" or "realclock" (the latter needs t_planck). ``z_grid`` may
+    hold z_ideal already evaluated on the scan grid
+    ``linspace(0, horizon, n_samples)``, so that scans of both modes share
+    one evaluation.
     """
     if mode not in ("ideal", "realclock"):
         raise ValidationError(f"mode must be 'ideal' or 'realclock', got {mode!r}")
@@ -264,7 +268,15 @@ def recurrence_scan(
         zfun = lambda t: np.abs(z_realclock(bath, t, t_planck))  # noqa: E731
 
     times = np.linspace(0.0, horizon, n_samples)
-    abs_z = np.asarray(zfun(times))
+    if z_grid is None:
+        z_grid = z_ideal(bath, times)
+    elif np.shape(z_grid) != times.shape:
+        raise ValidationError(
+            f"z_grid has shape {np.shape(z_grid)}, the scan grid {times.shape}"
+        )
+    if mode == "realclock":
+        z_grid = z_grid * realclock_damping(bath, times, t_planck)
+    abs_z = np.abs(z_grid)
     running_sup = np.maximum.accumulate(abs_z[::-1])[::-1]
 
     # a recurrence is a *return* of coherence: the t = 0 sample is the

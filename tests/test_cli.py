@@ -455,6 +455,48 @@ def test_unexpected_exception_is_one_line_numeric_failure(tmp_path, capsys, monk
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("main_cell, table_cell, column", [
+    (float("nan"), 1.0, "b"),
+    (1.0, -float("inf"), "abs_z"),
+])
+def test_non_finite_output_is_refused(tmp_path, capsys, monkeypatch,
+                                      fmt, main_cell, table_cell, column):
+    def planted(document):
+        return RunResult(columns=["a", "b"], rows=np.array([[0.0, 1.0], [2.0, main_cell]]),
+                         tables=[("exceedances", ["mode", "t", "abs_z"],
+                                  [["ideal", 1.0, table_cell]])])
+
+    monkeypatch.setitem(cli.RUNNERS, "evolve", planted)
+    cfg = write_config(tmp_path, "c.json", EVOLVE_DOC)
+    out = tmp_path / f"o.{fmt}"
+    assert run_cli("evolve", "--config", cfg, "--out", str(out), "--format", fmt) == 3
+    err = capsys.readouterr().err
+    assert err == f"numeric failure: non-finite value in column {column}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, document", [
+    ("evolve", EVOLVE_DOC),
+    ("zurek", {"command": "zurek", "seed": 1,
+               "zurek": dict(COMMENSURATE, horizon=3 * math.pi / 0.3, n_samples=2001,
+                             t_planck=0.01,
+                             recurrence={"threshold": 0.3, "n_samples": 2001})}),
+])
+def test_json_output_of_array_rows_equals_list_rows(tmp_path, command, document):
+    cfg = write_config(tmp_path, "c.json", document)
+    out = tmp_path / "o.json"
+    assert run_cli(command, "--config", cfg, "--out", str(out), "--format", "json") == 0
+    resolved = json.loads(out.read_text())["config"]
+    result = cli.RUNNERS[command](resolved)
+    assert isinstance(result.rows, np.ndarray)
+    as_lists = RunResult(columns=result.columns, rows=result.rows.tolist(),
+                         tables=result.tables)
+    reference = tmp_path / "reference.json"
+    cli.write_json(str(reference), resolved, as_lists)
+    assert out.read_bytes() == reference.read_bytes()
+
+
 def test_write_csv_matches_per_cell_formatter(tmp_path):
     def format_cell(value):  # the writer's former per-cell rule
         if isinstance(value, str):

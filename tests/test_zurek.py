@@ -347,6 +347,21 @@ class TestRecurrenceScan:
         scan = recurrence_scan(bath, "ideal", horizon=25.0, n_samples=3000, threshold=0.8)
         assert np.all(np.diff(scan.running_sup) <= 1e-15)
 
+    @pytest.mark.parametrize("mode", ["ideal", "realclock"])
+    def test_shared_grid_gives_the_same_scan(self, mode):
+        bath = commensurate_bath()
+        horizon, n, t_p = 3 * math.pi / 0.3, 20001, 0.01
+        times = np.linspace(0.0, horizon, n)
+        z_grid = z_ideal(bath, times)
+        own = recurrence_scan(bath, mode, horizon, n, 0.3, t_planck=t_p)
+        shared = recurrence_scan(bath, mode, horizon, n, 0.3, t_planck=t_p, z_grid=z_grid)
+        assert own.exceedances and shared.exceedances == own.exceedances
+        expected = z_grid if mode == "ideal" else z_realclock(bath, times, t_p)
+        assert np.array_equal(shared.abs_z, np.abs(expected))
+        assert np.array_equal(own.abs_z, np.abs(expected))
+        with pytest.raises(ValidationError, match="z_grid"):
+            recurrence_scan(bath, mode, horizon, n + 1, 0.3, t_planck=t_p, z_grid=z_grid)
+
     def test_parameter_validation(self, rng):
         bath = random_bath(2, (0.1, 1.0), rng)
         with pytest.raises(ValidationError):
