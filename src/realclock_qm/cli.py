@@ -21,7 +21,6 @@ are always those of the template. Tables with a string column use the
 template throughout.
 
 Exit codes: 0 success, 2 configuration, 3 numeric failure, 4 I/O failure.
-A result holding NaN or an infinity is a numeric failure and is not written.
 """
 
 from __future__ import annotations
@@ -186,9 +185,8 @@ def run_zurek(document: dict) -> RunResult:
         modes = rec.get("modes", ["ideal", "realclock"])
         rec_samples = int(rec.get("n_samples", max(n_samples, 1000)))
         threshold = float(rec["threshold"])
-        # every mode scans the same grid; on the main table's grid, reuse it
-        scan_z = (ideal if rec_samples == n_samples
-                  else z_ideal(bath, np.linspace(0.0, horizon, rec_samples)))
+        # every mode scans the same grid: evaluate the bath product on it once
+        scan_z = z_ideal(bath, np.linspace(0.0, horizon, rec_samples))
         exc_rows = []
         for mode in modes:
             scan = recurrence_scan(
@@ -574,21 +572,6 @@ def _resolve_document(args) -> dict:
     return document
 
 
-def _non_finite_column(result: RunResult) -> str | None:
-    """Name of the first column, table by table, that holds NaN or an
-    infinity; None when every number in the result is finite."""
-    for columns, rows in [(result.columns, result.rows)] + [t[1:] for t in result.tables]:
-        if isinstance(rows, np.ndarray):
-            bad = ~np.isfinite(rows).all(axis=0)
-            if bad.any():
-                return columns[int(np.argmax(bad))]
-            continue
-        for j, name in enumerate(columns):
-            if any(not isinstance(row[j], str) and not math.isfinite(row[j]) for row in rows):
-                return name
-    return None
-
-
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
     try:
@@ -607,11 +590,6 @@ def main(argv=None) -> int:
         return 3
     except Exception as exc:  # last resort: one line, never a traceback
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-
-    bad_column = _non_finite_column(result)
-    if bad_column is not None:
-        print(f"numeric failure: non-finite value in column {bad_column}", file=sys.stderr)
         return 3
 
     try:
