@@ -32,7 +32,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -342,6 +341,8 @@ def run_sweep(document: dict) -> RunResult:
         raise ConfigError(f"{WORKERS_ENV}={raw_workers!r}: must be a positive integer")
     workers = int(raw_workers)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only multi-worker sweeps pay for it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_sweep_child, jobs))
     else:

@@ -4,6 +4,13 @@ A run is described by one JSON document validated against CONFIG_SCHEMA.
 Complex matrix entries are written as [re, im] pairs. Command-line
 ``--set key=value`` overrides use dotted paths into the document; values
 parse as JSON with a plain-string fallback.
+
+The schema is JSON Schema (draft 2020-12), checked by a small walker that
+knows only the keywords the schema uses: type, properties, required,
+additionalProperties (false only), items, minItems, maxItems, enum,
+minimum, exclusiveMinimum and minLength. Its messages, and its choice
+among several errors, mirror jsonschema's (4.26, ``best_match``), which
+the tests use as the oracle.
 """
 
 from __future__ import annotations
@@ -11,9 +18,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from typing import Any
 
-import jsonschema
 import numpy as np
 
 from .clocks import (
@@ -210,39 +217,112 @@ CONFIG_SCHEMA: dict[str, Any] = {
 }
 
 
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+# annotations, and the keywords that pick the children's subschemas in _walk
+_NOT_CHECKED_HERE = frozenset({"$schema", "title", "properties", "items"})
+# every keyword _walk understands
+SCHEMA_KEYWORDS = _NOT_CHECKED_HERE | {
+    "type", "enum", "required", "additionalProperties",
+    "minItems", "maxItems", "minLength", "minimum", "exclusiveMinimum",
+}
+
+_PYTHON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
 
 
-def _first_non_finite(node, path: str) -> tuple[str, float] | None:
-    """Key path and value of the first NaN or infinity in the document."""
+def _is_type(node, kind: str) -> bool:
+    """Draft 2020-12 types: a bool is no number, and 3.0 is an integer."""
+    if kind == "number":
+        return type(node) is float or (
+            isinstance(node, numbers.Number) and not isinstance(node, bool))
+    if kind == "integer":
+        return (isinstance(node, int) and not isinstance(node, bool)) or (
+            isinstance(node, float) and node.is_integer())
+    return isinstance(node, _PYTHON_TYPES[kind])
+
+
+def _walk(node, schema: dict, path: tuple, errors: list, non_finite: list) -> None:
+    """Append jsonschema's ``(path, message)`` errors for ``node`` and below.
+
+    Errors at one node come in the order of the schema's keywords, as
+    jsonschema yields them. Children are walked in document order, so the
+    first non-finite float found is the first in the document.
+    """
+    for keyword, value in schema.items():
+        if keyword in _NOT_CHECKED_HERE:
+            continue
+        if keyword == "type":
+            if not _is_type(node, value):
+                errors.append((path, f"{node!r} is not of type {value!r}"))
+        elif keyword == "enum":
+            if node not in value:
+                errors.append((path, f"{node!r} is not one of {value!r}"))
+        elif isinstance(node, dict):
+            if keyword == "required":
+                errors.extend((path, f"{name!r} is a required property")
+                              for name in value if name not in node)
+            elif keyword == "additionalProperties":
+                extras = sorted((key for key in node if key not in schema.get("properties", {})),
+                                key=str)
+                if extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    errors.append((path, f"Additional properties are not allowed "
+                                         f"({', '.join(map(repr, extras))} {verb} unexpected)"))
+        elif isinstance(node, list):
+            if keyword == "minItems" and len(node) < value:
+                wanted = "should be non-empty" if value == 1 else "is too short"
+                errors.append((path, f"{node!r} {wanted}"))
+            elif keyword == "maxItems" and len(node) > value:
+                wanted = "is expected to be empty" if value == 0 else "is too long"
+                errors.append((path, f"{node!r} {wanted}"))
+        elif isinstance(node, str):
+            if keyword == "minLength" and len(node) < value:
+                wanted = "should be non-empty" if value == 1 else "is too short"
+                errors.append((path, f"{node!r} {wanted}"))
+        elif _is_type(node, "number"):
+            if keyword == "minimum" and node < value:
+                errors.append((path, f"{node!r} is less than the minimum of {value!r}"))
+            elif keyword == "exclusiveMinimum" and node <= value:
+                errors.append((path, f"{node!r} is less than or equal to the minimum of {value!r}"))
+
     if isinstance(node, float):
-        return None if math.isfinite(node) else (path, node)
-    if isinstance(node, dict):
-        items = node.items()
+        if not non_finite and not math.isfinite(node):
+            non_finite.append((path, node))
+    elif isinstance(node, dict):
+        properties = schema.get("properties", {})
+        closed = schema.get("additionalProperties") is False
+        for key, child in node.items():
+            if key in properties:
+                _walk(child, properties[key], path + (key,), errors, non_finite)
+            elif not closed:
+                _walk(child, {}, path + (key,), errors, non_finite)
     elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return None
-    for key, child in items:
-        found = _first_non_finite(child, f"{path}.{key}" if path else str(key))
-        if found is not None:
-            return found
-    return None
+        items = schema.get("items", {})
+        for index, child in enumerate(node):
+            _walk(child, items, path + (index,), errors, non_finite)
+
+
+def _key(path: tuple) -> str:
+    return ".".join(map(str, path)) or "<root>"
 
 
 def validate_config(document: dict) -> None:
-    """Schema-validate, reporting the offending key path on failure.
+    """Check ``document`` against CONFIG_SCHEMA; raise ConfigError naming the key.
 
-    JSON NaN and Infinity pass the schema's "number" type, so non-finite
-    numbers are rejected separately.
+    Of several schema errors the one reported is the one jsonschema's
+    ``best_match`` picks: the shortest key path, of those the greatest
+    path, and of those the first error in the schema's keyword order.
+    JSON NaN and Infinity are numbers to the schema, so with no schema
+    error the first non-finite number in document order is rejected.
     """
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(document))
-    if error is not None:
-        path = ".".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config key '{path}': {error.message}") from error
-    found = _first_non_finite(document, "")
-    if found is not None:
-        raise ConfigError(f"config key '{found[0]}': must be a finite number, got {found[1]}")
+    errors: list = []
+    non_finite: list = []
+    _walk(document, CONFIG_SCHEMA, (), errors, non_finite)
+    if errors:
+        # max returns the first of equal keys, as best_match does
+        path, message = max(errors, key=lambda error: (-len(error[0]), error[0]))
+        raise ConfigError(f"config key '{_key(path)}': {message}")
+    if non_finite:
+        path, value = non_finite[0]
+        raise ConfigError(f"config key '{_key(path)}': must be a finite number, got {value}")
 
 
 def load_config(path: str) -> dict:

@@ -469,6 +469,18 @@ class TestConfigHelpers:
             env=env, check=True,
         )
 
+    def test_cli_import_loads_neither_jsonschema_nor_process_pool(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import realclock_qm.cli, sys; print(' '.join(m for m in sys.modules "
+             "if m.split('.')[0] == 'jsonschema' or m == 'concurrent.futures.process'))"],
+            env=env, check=True, capture_output=True, text=True,
+        ).stdout.split()
+        assert loaded == []
+
     def test_validate_config_names_offending_key(self):
         with pytest.raises(ConfigError, match="clock.kind"):
             validate_config({"command": "evolve", "clock": {"kind": "bogus"}})
