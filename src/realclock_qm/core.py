@@ -9,7 +9,7 @@ All quantities are dimensionless in natural units (hbar = c = 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,14 +90,30 @@ def _require_density_stack(stack: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """A Hermitian matrix: Hamiltonians and observables."""
+    """A Hermitian matrix: Hamiltonians and observables.
+
+    An operator keeps its spectral decomposition once it is known (built
+    from_spectrum, or computed by eigendecompose); it is immutable, so the
+    kept decomposition cannot go stale.
+    """
 
     matrix: np.ndarray
+    _decomposition: EnergyDecomposition | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = as_square_complex(self.matrix, "operator")
         _require_hermitian(m, "operator")
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def from_spectrum(cls, dec: EnergyDecomposition) -> HermitianOperator:
+        """The operator (V * omega) V^dagger of a known decomposition, which
+        eigendecompose then returns without an eigh."""
+        v = dec.eigenvectors
+        m = (v * dec.eigenvalues) @ v.conj().T
+        operator = cls(0.5 * (m + m.conj().T))
+        object.__setattr__(operator, "_decomposition", dec)
+        return operator
 
     @property
     def dim(self) -> int:
@@ -109,6 +125,7 @@ class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace state."""
 
     matrix: np.ndarray
+    _vector: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = as_square_complex(self.matrix, "density matrix")
@@ -132,13 +149,35 @@ class DensityMatrix:
 
     @classmethod
     def from_pure(cls, amplitudes) -> "DensityMatrix":
-        """Projector onto a (normalized) pure state vector."""
+        """Projector onto a (normalized) pure state vector; the state keeps
+        the vector, read-only, as its one rank factor."""
         v = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValidationError(
+                f"pure state vector has a non-finite amplitude at index {bad[0]}"
+            )
         norm = np.linalg.norm(v)
         if norm == 0:
             raise ValidationError("pure state vector must be nonzero")
         v = v / norm
-        return cls(np.outer(v, v.conj()))
+        state = cls(np.outer(v, v.conj()))
+        v.setflags(write=False)
+        object.__setattr__(state, "_vector", v)
+        return state
+
+    def rank_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weights lam and orthonormal columns phi with rho = sum_k lam_k phi_k phi_k^dagger.
+
+        A state built from_pure gives its vector with weight 1 and costs no
+        eigh; any other state drops the eigenvalues of magnitude up to
+        d eps lam_max.
+        """
+        if self._vector is not None:
+            return np.ones(1), self._vector[:, None]
+        lam, phi = np.linalg.eigh(self.matrix)
+        keep = np.abs(lam) > self.dim * np.finfo(float).eps * np.max(np.abs(lam))
+        return lam[keep], phi[:, keep]
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
@@ -180,10 +219,14 @@ class EnergyDecomposition:
         v = as_square_complex(self.eigenvectors, "eigenvector matrix")
         if w.ndim != 1 or w.shape[0] != v.shape[0]:
             raise ValidationError("eigenvalue count must match eigenvector dimension")
+        bad = np.flatnonzero(~np.isfinite(w))
+        if bad.size:
+            raise ValidationError(f"eigenvalue {bad[0]} must be finite, got {w[bad[0]]}")
         if np.any(np.diff(w) < 0):
             raise ValidationError("eigenvalues must be sorted ascending")
-        unit_defect = float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))))
-        if unit_defect > TOL_DECOMPOSITION:
+        with np.errstate(invalid="ignore"):  # inf * 0; NaN fails the negated test
+            unit_defect = float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))))
+        if not unit_defect <= TOL_DECOMPOSITION:
             raise ValidationError(
                 f"eigenvector matrix is not unitary: defect {unit_defect:.3e}"
             )
@@ -251,9 +294,13 @@ def eigendecompose(operator: HermitianOperator) -> EnergyDecomposition:
     """Spectral decomposition with ascending eigenvalues.
 
     Degenerate eigenvalues are allowed; the returned eigenvectors span each
-    degenerate subspace orthonormally. The reconstruction V diag(w) V^dagger
-    is checked against the input to TOL_DECOMPOSITION.
+    degenerate subspace orthonormally. The operator's kept decomposition is
+    returned as it is; otherwise one eigh is run, its reconstruction
+    V diag(w) V^dagger is checked against the input to TOL_DECOMPOSITION,
+    and the operator keeps the result.
     """
+    if operator._decomposition is not None:
+        return operator._decomposition
     w, v = np.linalg.eigh(operator.matrix)
     recon = (v * w) @ v.conj().T
     defect = float(np.max(np.abs(recon - operator.matrix)))
@@ -262,7 +309,9 @@ def eigendecompose(operator: HermitianOperator) -> EnergyDecomposition:
             f"eigendecomposition failed to reconstruct the operator: "
             f"defect {defect:.3e} (tol {TOL_DECOMPOSITION:.1e})"
         )
-    return EnergyDecomposition(eigenvalues=w, eigenvectors=v)
+    dec = EnergyDecomposition(eigenvalues=w, eigenvectors=v)
+    object.__setattr__(operator, "_decomposition", dec)
+    return dec
 
 
 def build_projector(operator: HermitianOperator, center: float, halfwidth: float) -> Projector:

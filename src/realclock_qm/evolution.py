@@ -22,6 +22,14 @@ operator are queried, plus one real product for all of them. A pure state
 (the wavepacket clock, any state given as a vector) costs one GEMM per
 operator; a full-rank mixed state of dimension d, such as a system state
 given as a matrix, costs d.
+
+Decompositions are paid for once and only when unknown. An operator built
+from its spectrum (HermitianOperator.from_spectrum: the wavepacket clock's
+Hamiltonian, whose plane waves and energies k^2/2m are known, and its
+diagonal reading operator) and a state built from a vector
+(DensityMatrix.from_pure) cost no eigh. Any other operator costs one eigh
+the first time it is decomposed, which it then keeps; any other state costs
+one eigh per _trace_curves call for its rank factors.
 """
 
 from __future__ import annotations
@@ -163,9 +171,8 @@ def _trace_curves(
     A request (O, None) asks for X = O; a request (O, (center, halfwidth))
     asks for X = the projector onto O's eigenvalues selected by
     EnergyDecomposition.window, the rule of EnergyDecomposition.projector.
-    With rho = sum_k lam_k phi_k phi_k^dagger (eigenvalues of magnitude up
-    to d eps lam_max dropped), H = V diag(omega) V^dagger and
-    O = U diag(o) U^dagger,
+    With rho = sum_k lam_k phi_k phi_k^dagger (DensityMatrix.rank_factors),
+    H = V diag(omega) V^dagger and O = U diag(o) U^dagger,
 
         Tr(X rho(t)) = sum_k lam_k sum_j f(o_j) |A_k(t)_j|^2,
         A_k(t) = U^dagger V (e^{-i omega t} * V^dagger phi_k),
@@ -175,9 +182,8 @@ def _trace_curves(
     (T x d)(d x d) GEMM per rank factor, and all its curves one real
     (T x d)(d x n) product. Cost: rank(rho) GEMMs per distinct operator.
     """
-    lam, phi = np.linalg.eigh(rho.matrix)
-    keep = np.abs(lam) > rho.dim * np.finfo(float).eps * np.max(np.abs(lam))
-    lam, coeffs = lam[keep], decomp.eigenvectors.conj().T @ phi[:, keep]
+    lam, phi = rho.rank_factors()
+    coeffs = decomp.eigenvectors.conj().T @ phi
     phases = _phase_table(decomp, t)
     groups: dict[int, list[int]] = {}
     for i, (operator, _) in enumerate(requests):
@@ -700,7 +706,11 @@ def make_wavepacket_clock(
     The momentum kick mass*velocity plus a few momentum widths must stay
     inside the grid's momentum zone pi*n/length, and the packet must not
     spread appreciably over the query horizon; the defaults satisfy both.
+    The Hamiltonian is built from its known spectrum (the plane waves, with
+    energies k^2/2m ascending) and the reading operator from its diagonal,
+    so eigendecompose returns both without an eigh.
     """
+    require_finite(length=length, mass=mass, sigma0=sigma0, x0=x0, velocity=velocity)
     if n < 2 or length <= 0 or mass <= 0 or sigma0 <= 0 or velocity <= 0:
         raise ValidationError("wavepacket clock parameters must be positive")
     dx = length / n
@@ -713,9 +723,10 @@ def make_wavepacket_clock(
             "increase n or reduce mass*velocity"
         )
     k_index = np.fft.fftfreq(n, d=dx) * 2.0 * math.pi  # momentum eigenvalues
-    plane_waves = np.exp(1j * np.outer(x, k_index)) / math.sqrt(n)
-    h_cl = plane_waves @ np.diag(k_index**2 / (2.0 * mass)) @ plane_waves.conj().T
-    h_cl = 0.5 * (h_cl + h_cl.conj().T)
+    energies = k_index**2 / (2.0 * mass)
+    order = np.argsort(energies, kind="stable")  # +k and -k share a level
+    plane_waves = np.exp(1j * np.outer(x, k_index[order])) / math.sqrt(n)
+    h_cl = HermitianOperator.from_spectrum(EnergyDecomposition(energies[order], plane_waves))
 
     psi = np.exp(1j * p0 * x) * np.exp(-((x - x0) ** 2) / (4.0 * sigma0**2))
     rho = DensityMatrix.from_pure(psi)
@@ -733,8 +744,9 @@ def make_wavepacket_clock(
     )
     return WavepacketClock(
         rho=rho,
-        hamiltonian=HermitianOperator(h_cl),
-        reading_operator=HermitianOperator(np.diag(x - x0)),
+        hamiltonian=h_cl,
+        reading_operator=HermitianOperator.from_spectrum(
+            EnergyDecomposition(x - x0, np.eye(n))),
         gaussian_model=model,
         positions=x,
         grid_spacing=dx,

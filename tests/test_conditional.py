@@ -255,6 +255,14 @@ def test_wavepacket_clock_momentum_zone_guard():
         make_wavepacket_clock(n=64, length=70.0, mass=40.0, sigma0=2.0, velocity=0.25)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("param", ["length", "mass", "sigma0", "x0", "velocity"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_wavepacket_clock_rejects_non_finite(param, value):
+    with pytest.raises(ValidationError, match=f"{param} must be finite"):
+        make_wavepacket_clock(**{param: value})
+
+
 @pytest.mark.parametrize("field", ["o_center", "o_halfwidth", "t_center", "t_halfwidth"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_query_rejects_non_finite(field, value):
@@ -361,6 +369,63 @@ def test_mixed_clock_state_matches_contraction_route(packet, monkeypatch):
     monkeypatch.setattr(evolution, "_trace_curves", contraction_curves)
     for got, want in zip(factored, run()):
         assert abs(got - want) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The wavepacket clock from its known spectrum
+# ---------------------------------------------------------------------------
+
+
+def test_wavepacket_decompositions_are_the_known_spectra(packet):
+    dec = eigendecompose(packet.hamiltonian)
+    assert np.max(np.abs(dec.eigenvalues
+                         - np.linalg.eigh(packet.hamiltonian.matrix)[0])) <= 1e-13
+    reader = eigendecompose(packet.reading_operator)
+    assert np.array_equal(reader.eigenvalues, packet.reading_values())
+    assert np.array_equal(reader.eigenvectors, np.eye(len(packet.positions)))
+
+
+def test_known_spectra_give_the_eigh_curves(packet):
+    # the same requests on copies that keep no decomposition and no vector
+    fresh_h = HermitianOperator(packet.hamiltonian.matrix)
+    fresh_reader = HermitianOperator(packet.reading_operator.matrix)
+    fresh_rho = DensityMatrix(packet.rho.matrix)
+    levels = eigendecompose(packet.hamiltonian).eigenvalues
+    assert levels[3] == levels[4] < levels[5]  # the second +-k pair
+
+    def requests(h, reader):
+        return [(reader, None), (reader, (8.0, 0.2)), (reader, (-3.0, 5.0)),
+                (h, (float(levels[3]), 1e-9)),  # one degenerate level
+                (h, (float(levels[2]), 0.5 * float(levels[5] - levels[2])))]  # two levels
+
+    t = np.linspace(0.0, 60.0, 301)
+    kept = _trace_curves(packet.rho, eigendecompose(packet.hamiltonian), t,
+                         requests(packet.hamiltonian, packet.reading_operator))
+    fresh = _trace_curves(fresh_rho, eigendecompose(fresh_h), t, requests(fresh_h, fresh_reader))
+    for got, want in zip(kept, fresh):
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_wavepacket_route_runs_no_clock_sized_eigh(monkeypatch):
+    dims = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        dims.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    packet = make_wavepacket_clock()
+    route = TestQuantumRoute()
+    query, reading = route._site_query(packet, 8.5)
+    fresh_x = HermitianOperator(PAULI_X)  # decomposed here, so the counter sees it
+    query = ConditionalQuery(observable=fresh_x, o_center=1.0, o_halfwidth=0.5,
+                             t_center=reading, t_halfwidth=query.t_halfwidth,
+                             clock_operator=packet.reading_operator)
+    conditional_probabilities(packet.rho, plus_state(), packet.hamiltonian,
+                              qubit_hamiltonian(0.15), [query], route._cfg(packet, reading))
+    assert 2 in dims
+    assert dims.count(packet.rho.dim) == 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 3001, 6001, 8001])

@@ -42,6 +42,37 @@ class TestTypes:
         assert rho.matrix[0, 0] == pytest.approx(9 / 25)
         assert rho.purity() == pytest.approx(1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("amplitudes, index", [
+        ([float("nan"), 1.0], 0),
+        ([float("inf"), 1.0], 0),
+        ([1.0, complex(0.0, float("nan"))], 1),
+    ])
+    def test_from_pure_rejects_non_finite_amplitude(self, amplitudes, index):
+        with pytest.raises(ValidationError, match=f"non-finite amplitude at index {index}"):
+            DensityMatrix.from_pure(amplitudes)
+
+    def test_pure_state_rank_factor_is_its_vector(self, rng):
+        v = rng.normal(size=6) + 1j * rng.normal(size=6)
+        rho = DensityMatrix.from_pure(v)
+        lam, phi = rho.rank_factors()
+        assert lam.tolist() == [1.0]
+        assert np.array_equal(phi[:, 0], v / np.linalg.norm(v))
+        with pytest.raises(ValueError):
+            phi[0, 0] = 0.0
+        lam_eigh, phi_eigh = DensityMatrix(rho.matrix).rank_factors()  # the eigh route
+        assert lam_eigh.shape == (1,)
+        assert np.max(np.abs((phi * lam) @ phi.conj().T
+                             - (phi_eigh * lam_eigh) @ phi_eigh.conj().T)) <= 1e-12
+
+    def test_mixed_state_rank_factors_drop_null_space(self, rng):
+        vecs, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        weights = np.array([0.0, 0.0, 0.2, 0.3, 0.5])
+        rho = DensityMatrix((vecs * weights) @ vecs.conj().T)
+        lam, phi = rho.rank_factors()
+        assert np.max(np.abs(lam - weights[2:])) <= 1e-14
+        assert np.max(np.abs((phi * lam) @ phi.conj().T - rho.matrix)) <= 1e-14
+
     def test_projector_idempotence_checked(self):
         with pytest.raises(ValidationError, match="idempotent"):
             Projector(matrix=np.diag([0.5, 0.5]), interval=(0.0, 1.0))
@@ -227,6 +258,42 @@ class TestEigendecompose:
             dec.window(0.0, 0.0)
         with pytest.raises(ValidationError, match="finite"):
             dec.window(float("nan"), 0.5)
+
+
+    def test_repeated_calls_return_the_kept_decomposition(self, rng):
+        h = random_hermitian(rng, 5, norm=2.0)
+        assert eigendecompose(h) is eigendecompose(h)
+
+    def test_operator_from_spectrum_keeps_its_decomposition(self, rng, monkeypatch):
+        v, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        dec = EnergyDecomposition(eigenvalues=[-1.0, 0.0, 0.0, 2.0, 3.5], eigenvectors=v)
+        op = HermitianOperator.from_spectrum(dec)
+        assert np.array_equal(op.matrix, op.matrix.conj().T)
+        assert np.max(np.abs(op.matrix - (v * dec.eigenvalues) @ v.conj().T)) <= 1e-14
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called on an operator with a known spectrum")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        assert eigendecompose(op) is dec
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eigenvalues, index", [
+        ([float("nan"), 1.0], 0),
+        ([1.0, float("inf")], 1),
+        ([-float("inf"), 0.0], 0),
+    ])
+    def test_decomposition_rejects_non_finite_eigenvalue(self, eigenvalues, index):
+        with pytest.raises(ValidationError, match=f"eigenvalue {index} must be finite"):
+            EnergyDecomposition(eigenvalues=eigenvalues, eigenvectors=np.eye(2))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+    def test_decomposition_rejects_non_finite_eigenvector(self, entry):
+        v = np.eye(2, dtype=complex)
+        v[1, 0] = entry
+        with pytest.raises(ValidationError, match="not unitary"):
+            EnergyDecomposition(eigenvalues=[0.0, 1.0], eigenvectors=v)
 
 
 class TestBuildProjector:
