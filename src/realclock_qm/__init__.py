@@ -57,6 +57,7 @@ from .evolution import (
     ConditionalQuery,
     ConservationReport,
     EvolutionConfig,
+    Trajectory,
     WavepacketClock,
     analytic_offdiagonal,
     conditional_probabilities,

@@ -105,17 +105,16 @@ def run_evolve(document: dict) -> RunResult:
     cfg = _evolution_config(document, t_final)
 
     trajectory = evolve_master(rho0, hamiltonian, clock, t_final, cfg)
+    stack = trajectory.states
     dim = hamiltonian.dim
     columns = ["t"]
     for i in range(dim):
         for j in range(dim):
             columns += [f"re_rho_{i}_{j}", f"im_rho_{i}_{j}"]
     columns += ["purity", "energy"]
-    times = [t for t, _ in trajectory]
-    stack = np.array([state.matrix for _, state in trajectory])
     purity = np.einsum("kij,kji->k", stack, stack).real
     energy = np.einsum("ij,kji->k", hamiltonian.matrix, stack).real
-    rows = np.column_stack([times, stack.view(float).reshape(len(stack), -1),
+    rows = np.column_stack([trajectory.times, stack.view(float).reshape(len(stack), -1),
                             purity, energy])
     return RunResult(columns=columns, rows=rows)
 

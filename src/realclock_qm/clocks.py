@@ -77,14 +77,12 @@ class ExpansionClock:
     """Narrow distribution described by its delta expansion coefficients.
 
     ``b`` is the second-order coefficient (extra width, b(T) > 0 away from
-    T = 0); ``b_rate`` its analytic derivative when available. ``a`` is the
-    first-order asymmetry coefficient, zero for symmetric distributions and
-    kept only as an extension point (see evolution.evolve_master).
+    T = 0); ``b_rate`` its analytic derivative when available. Both are
+    scalar callables: they are called once per reading.
     """
 
     b: Callable[[float], float]
     b_rate: Callable[[float], float] | None = None
-    a: Callable[[float], float] | None = None
 
 
 @dataclass(frozen=True)
@@ -149,29 +147,47 @@ def pdf(clock: ClockModel, reading: float, t):
     )
 
 
-def sigma(clock: ClockModel, reading: float) -> float:
-    """Width-growth rate sigma(T) of the reading distribution."""
+def sigma(clock: ClockModel, reading):
+    """Width-growth rate sigma(T) of the reading distribution.
+
+    ``reading`` is a scalar, which gives a float, or an array, which gives
+    an array of its shape equal element by element to the scalar calls.
+    An expansion clock's b_rate (or the central difference of b) is called
+    once per reading, and the fundamental-limit formula is evaluated per
+    reading in Python floats; the sign check with its clip at 0 and the
+    horizon check each run over the whole array and name the first
+    failing reading.
+    """
+    t = np.asarray(reading, dtype=float)
+    readings = t.ravel().tolist()
     if isinstance(clock, ExpansionClock):
         if clock.b_rate is not None:
-            value = float(clock.b_rate(reading))
+            rates = [float(clock.b_rate(r)) for r in readings]
         else:
-            h = _FD_STEP * max(1.0, abs(reading))
-            value = (clock.b(reading + h) - clock.b(reading - h)) / (2 * h)
-        if value < -1e-8:
+            steps = [_FD_STEP * max(1.0, abs(r)) for r in readings]
+            rates = [(clock.b(r + h) - clock.b(r - h)) / (2 * h) for r, h in zip(readings, steps)]
+        value = np.array(rates, dtype=float)
+        bad = np.flatnonzero(value < -1e-8)
+        if bad.size:
             raise ValidationError(
-                f"width-growth rate must be nonnegative, got {value:.3e} at T={reading}"
+                f"width-growth rate must be nonnegative, got {rates[bad[0]]:.3e} "
+                f"at T={readings[bad[0]]}"
             )
-        return max(value, 0.0)
-    if isinstance(clock, FundamentalLimitClock):
-        if reading >= clock.t_max:
+        value = np.maximum(value, 0.0)
+    elif isinstance(clock, FundamentalLimitClock):
+        bad = np.flatnonzero(t.ravel() >= clock.t_max)
+        if bad.size:
             raise ClockDomainError(
-                f"sigma(T) diverges at the horizon: T={reading} >= t_max={clock.t_max}"
+                f"sigma(T) diverges at the horizon: T={readings[bad[0]]} >= t_max={clock.t_max}"
             )
-        return (clock.t_planck / (clock.t_max - reading)) ** (1.0 / 3.0) * clock.t_planck
-    raise UnsupportedClockKindError(
-        f"sigma() is defined for expansion and fundamental-limit clocks, "
-        f"not {type(clock).__name__}"
-    )
+        t_p, t_max = clock.t_planck, clock.t_max
+        value = np.array([(t_p / (t_max - r)) ** (1.0 / 3.0) * t_p for r in readings])
+    else:
+        raise UnsupportedClockKindError(
+            f"sigma() is defined for expansion and fundamental-limit clocks, "
+            f"not {type(clock).__name__}"
+        )
+    return float(value[0]) if t.ndim == 0 else value.reshape(t.shape)
 
 
 def integrated_sigma(clock: ClockModel, t0: float, t1: float) -> float:

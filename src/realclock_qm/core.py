@@ -138,10 +138,7 @@ class DensityMatrix:
         is built; the states are read-only views of one read-only array."""
         stack = as_square_complex(matrices, "density matrix stack", ndim=3)
         _require_density_stack(stack)
-        states = [object.__new__(cls) for _ in stack]
-        for state, m in zip(states, stack):
-            object.__setattr__(state, "matrix", m)
-        return states
+        return [_validated_state(m) for m in stack]
 
     @property
     def dim(self) -> int:
@@ -183,6 +180,14 @@ class DensityMatrix:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
+def _validated_state(m: np.ndarray) -> DensityMatrix:
+    """A DensityMatrix around a read-only matrix already checked by
+    _require_density_stack, built without checking it again."""
+    state = object.__new__(DensityMatrix)
+    object.__setattr__(state, "matrix", m)
+    return state
+
+
 @dataclass(frozen=True, eq=False)
 class Projector:
     """Orthogonal projector onto eigenvalues within an interval."""
@@ -205,6 +210,18 @@ class Projector:
     @property
     def rank(self) -> int:
         return int(round(float(np.real(np.trace(self.matrix)))))
+
+
+def _sandwich(left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ m @ right for one (d, d) matrix. For an (n, d, d) stack, two GEMMs
+    over the stack laid out as one (d, n d) and one (n d, d) matrix, in place
+    of one pair of BLAS calls per matrix; the result is C-contiguous."""
+    if m.ndim == 2:
+        return left @ m @ right
+    n, d, _ = m.shape
+    columns = m.transpose(1, 0, 2).reshape(d, n * d)  # [m_0 | m_1 | ...]
+    rows = (left @ columns).reshape(d, n, d).transpose(1, 0, 2).reshape(n * d, d)
+    return (rows @ right).reshape(n, d, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,14 +262,14 @@ class EnergyDecomposition:
         return w[:, None] - w[None, :]
 
     def to_eig(self, m: np.ndarray) -> np.ndarray:
-        """V^dagger m V: a matrix, or a stack of them, in the energy eigenbasis."""
+        """V^dagger m V: a matrix, or an (n, d, d) stack of them, in the energy eigenbasis."""
         v = self.eigenvectors
-        return v.conj().T @ m @ v
+        return _sandwich(v.conj().T, m, v)
 
     def from_eig(self, m: np.ndarray) -> np.ndarray:
         """V m V^dagger: back from the energy eigenbasis; inverse of to_eig."""
         v = self.eigenvectors
-        return v @ m @ v.conj().T
+        return _sandwich(v, m, v.conj().T)
 
     def kernel(self, t, exponent=0.0) -> np.ndarray:
         """exp(-i B t - B^2 exponent) for the Bohr matrix B.

@@ -8,7 +8,11 @@ Three routes are implemented and cross-checked against each other:
                       - sigma(T) [H, [H, rho]], as one factor per output
                       time on rho_nm in the energy eigenbasis: the closed
                       form for ideal and fundamental-limit clocks, RK4's
-                      stability polynomial for expansion clocks.
+                      stability polynomial for expansion clocks. A
+                      trajectory is one validated (n+1, d, d) stack: one
+                      sigma call per trajectory, two GEMMs per basis
+                      change, one stacked validation, and no per-state
+                      object unless the caller indexes the Trajectory.
 * analytic_offdiagonal / fundamental_decay_factor -- closed forms for the
                       off-diagonal elements, used as oracles.
 
@@ -35,6 +39,7 @@ one eigh per _trace_curves call for its rank factors.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +59,8 @@ from .core import (
     EnergyDecomposition,
     HermitianOperator,
     Projector,
+    _require_density_stack,
+    _validated_state,
     commutator,
     eigendecompose,
     require_finite,
@@ -284,22 +291,20 @@ def smear_density(
 # ---------------------------------------------------------------------------
 
 
-def _master_rhs(rho: np.ndarray, h_mat: np.ndarray, sig: float, drift: float) -> np.ndarray:
-    """-i drift [H, rho] - sig [H, [H, rho]]; both terms share the commutator."""
+def _master_rhs(rho: np.ndarray, h_mat: np.ndarray, sig: float) -> np.ndarray:
+    """-i [H, rho] - sig [H, [H, rho]]; both terms share the commutator."""
     c = h_mat @ rho - rho @ h_mat
     out = -1j * c
-    if drift != 1.0:
-        out *= drift
     if sig != 0.0:
         out -= sig * (h_mat @ c - c @ h_mat)
     return out
 
 
-def _rk4_step(rho: np.ndarray, h_mat: np.ndarray, sig: float, drift: float, h: float) -> np.ndarray:
-    k1 = _master_rhs(rho, h_mat, sig, drift)
-    k2 = _master_rhs(rho + 0.5 * h * k1, h_mat, sig, drift)
-    k3 = _master_rhs(rho + 0.5 * h * k2, h_mat, sig, drift)
-    k4 = _master_rhs(rho + h * k3, h_mat, sig, drift)
+def _rk4_step(rho: np.ndarray, h_mat: np.ndarray, sig: float, h: float) -> np.ndarray:
+    k1 = _master_rhs(rho, h_mat, sig)
+    k2 = _master_rhs(rho + 0.5 * h * k1, h_mat, sig)
+    k3 = _master_rhs(rho + 0.5 * h * k2, h_mat, sig)
+    k4 = _master_rhs(rho + h * k3, h_mat, sig)
     out = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     out = 0.5 * (out + out.conj().T)
     return out / np.real(np.trace(out))
@@ -316,23 +321,11 @@ def _require_stable_step(h: float, sig: float, energies: np.ndarray) -> None:
         )
 
 
-def _integrated_state(m: np.ndarray) -> DensityMatrix:
-    """DensityMatrix(m), reporting a broken invariant as a failed integration."""
-    try:
-        return DensityMatrix(m)
-    except ValidationError as exc:
-        raise IntegrationFailureError(
-            f"step produced an invalid state ({exc}); try a smaller step"
-        ) from exc
-
-
 def master_step(
     rho: DensityMatrix,
     hamiltonian: HermitianOperator,
     sigma_value: float,
     h: float,
-    drift_a: float = 0.0,
-    drift_a_rate: float = 0.0,
 ) -> DensityMatrix:
     """One RK4 step of d(rho)/dT = -i[H, rho] - sigma [H, [H, rho]].
 
@@ -341,13 +334,8 @@ def master_step(
     this sign off-diagonals decay for sigma >= 0 and the generator is of
     Lindblad form with the single operator D = H. Trace is renormalized
     and Hermiticity re-symmetrized each step (both are roundoff-level).
-
-    ``drift_a``/``drift_a_rate`` are the extension point for asymmetric
-    reading distributions (first-order coefficient a(T) and its rate);
-    they rescale the unitary drift to (1 - a') and the decoherence
-    coefficient to (sigma - a). Both default to 0 and are excluded from
-    the verified contracts. This matrix-form step is the independent oracle
-    for evolve_master's energy-basis RK4.
+    This matrix-form step is the independent oracle for evolve_master's
+    energy-basis RK4.
     """
     require_same_dim(rho, hamiltonian, "Hamiltonian")
     if sigma_value < 0:
@@ -355,8 +343,38 @@ def master_step(
     if h <= 0:
         raise ValidationError(f"step must be positive, got {h}")
     _require_stable_step(h, sigma_value, np.linalg.eigvalsh(hamiltonian.matrix))
-    return _integrated_state(_rk4_step(rho.matrix, hamiltonian.matrix,
-                                       sigma_value - drift_a, 1.0 - drift_a_rate, h))
+    try:
+        return DensityMatrix(_rk4_step(rho.matrix, hamiltonian.matrix, sigma_value, h))
+    except ValidationError as exc:
+        raise IntegrationFailureError(
+            f"step produced an invalid state ({exc}); try a smaller step"
+        ) from exc
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory(Sequence):
+    """A master-equation trajectory: ``times`` (n+1,) and the validated
+    ``states`` (n+1, d, d), both read-only arrays.
+
+    As a sequence it holds the pairs (t, DensityMatrix): indexing, negative
+    indices and iteration build each pair on access as a view of its row,
+    without checking it again, and a slice gives a list of pairs.
+    """
+
+    times: np.ndarray
+    states: np.ndarray
+
+    def __post_init__(self):
+        self.times.setflags(write=False)
+        self.states.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return float(self.times[index]), _validated_state(self.states[index])
 
 
 def evolve_master(
@@ -365,24 +383,29 @@ def evolve_master(
     clock: ClockModel,
     t_final: float,
     cfg: EvolutionConfig,
-) -> list[tuple[float, DensityMatrix]]:
+) -> Trajectory:
     """Trajectory of the modified evolution from T = 0 to T = t_final.
 
     Every clock multiplies rho_nm in the energy eigenbasis by one factor per
     output time: exp(-i omega_nm T - omega_nm^2 Sigma(T)) for the ideal
     (Sigma = 0) and fundamental-limit (Sigma = T_P^(4/3) T^(2/3)) clocks,
     whose pointwise sigma is ill-conditioned near the horizon, and classical
-    RK4 for expansion clocks (_rk4_factors). The outputs are validated as one stack.
+    RK4 for expansion clocks (_rk4_factors, one sigma call for all steps).
+
+    Cost model: the factors, both basis changes and the validation are
+    whole-stack operations, and the outputs are one (n+1, d, d) array,
+    validated once by _require_density_stack. No DensityMatrix is built
+    unless the caller indexes the Trajectory. Row 0 is rho0's matrix.
     """
     if t_final < 0:
         raise ValidationError(f"t_final must be nonnegative, got {t_final}")
     require_same_dim(rho0, hamiltonian, "Hamiltonian")
     if t_final == 0:
-        return [(0.0, rho0)]
+        return Trajectory(np.zeros(1), rho0.matrix[None])
 
     n_steps = max(1, math.ceil(t_final / cfg.step - 1e-12))
     h = t_final / n_steps
-    times = [k * h for k in range(n_steps + 1)]
+    times = np.arange(n_steps + 1) * h
     times[-1] = t_final
 
     dec = eigendecompose(hamiltonian)
@@ -393,7 +416,7 @@ def evolve_master(
             raise ValidationError(
                 f"t_final={t_final} must stay below the clock horizon t_max={clock.t_max}"
             )
-        factors = dec.kernel(times, decoherence_exponent(1.0, np.array(times), clock.t_planck))
+        factors = dec.kernel(times, decoherence_exponent(1.0, times, clock.t_planck))
     elif isinstance(clock, ExpansionClock):
         factors = _rk4_factors(clock, dec, times[:-1], h)
     else:
@@ -402,41 +425,31 @@ def evolve_master(
             f"clocks, not {type(clock).__name__}"
         )
     states = dec.from_eig(dec.to_eig(rho0.matrix) * factors)
+    states[0] = rho0.matrix
     try:
-        outputs = DensityMatrix.stack(states[1:])
+        _require_density_stack(states[1:])
     except ValidationError as exc:
         raise IntegrationFailureError(
             f"output at T = {times[1 + exc.index]} is an invalid state ({exc}); try a smaller step"
         ) from exc
-    return [(0.0, rho0)] + list(zip(times[1:], outputs))
+    return Trajectory(times, states)
 
 
-def _rk4_factors(clock: ExpansionClock, dec: EnergyDecomposition, starts: list[float],
+def _rk4_factors(clock: ExpansionClock, dec: EnergyDecomposition, starts: np.ndarray,
                  h: float) -> np.ndarray:
     """Running product, from 1 at T = 0, of RK4 steps in the energy eigenbasis.
 
-    With sigma and drift frozen at the step midpoint, one step multiplies
-    rho_nm by the stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
-    at z = h(-i (1 - a') omega_nm - (sigma - a) omega_nm^2). R = 1 on the
-    diagonal and R(z_mn) = conj(R(z_nm)): trace and Hermiticity hold.
+    With sigma frozen at the step midpoint, one step multiplies rho_nm by
+    the stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at
+    z = h(-i omega_nm - sigma omega_nm^2). R = 1 on the diagonal and
+    R(z_mn) = conj(R(z_nm)): trace and Hermiticity hold.
     """
-    mids = [t + 0.5 * h for t in starts]
-    sig = np.array([sigma(clock, t) for t in mids])
+    sig = sigma(clock, np.asarray(starts) + 0.5 * h)
     _require_stable_step(h, float(sig.max()), dec.eigenvalues)
-    a, a_rate = np.array([_expansion_drift(clock, t) for t in mids]).T
     b = dec.bohr_frequencies
-    z = h * (-1j * (1.0 - a_rate)[:, None, None] * b - (sig - a)[:, None, None] * (b * b))
+    z = h * (-1j * b - sig[:, None, None] * (b * b))
     r = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
     return np.concatenate([np.ones((1,) + b.shape), np.cumprod(r, axis=0)])
-
-
-def _expansion_drift(clock: ExpansionClock, reading: float) -> tuple[float, float]:
-    """Asymmetry coefficient a(T) and its rate; zero when the clock declares none."""
-    if clock.a is None:
-        return 0.0, 0.0
-    step = 1e-6 * max(1.0, abs(reading))
-    rate = (clock.a(reading + step) - clock.a(reading - step)) / (2 * step)
-    return float(clock.a(reading)), float(rate)
 
 
 def analytic_offdiagonal(rho0_nm: complex, omega_nm: float, sig: float, t: float) -> complex:
@@ -657,9 +670,8 @@ def despagnat_conservation(
             commutator_norm=comm_norm,
         )
     trajectory = evolve_master(rho0, hamiltonian, clock, t_final, cfg)
-    stack = np.array([state.matrix for _, state in trajectory])
-    values = np.einsum("ij,kji->k", observable.matrix, stack).real
-    samples = tuple(zip([t for t, _ in trajectory], values.tolist()))
+    values = np.einsum("ij,kji->k", observable.matrix, trajectory.states).real
+    samples = tuple(zip(trajectory.times.tolist(), values.tolist()))
     spread = float(values.max() - values.min())
     return ConservationReport(samples=samples, spread=spread, conserved=spread <= CONSERVATION_TOL)
 

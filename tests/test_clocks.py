@@ -21,6 +21,7 @@ from realclock_qm import (
     pdf,
     sigma,
 )
+from realclock_qm.config import build_clock
 
 
 class TestPdf:
@@ -179,6 +180,39 @@ class TestIntegratedSigma:
         whole = integrated_sigma(clock, a, c)
         split = integrated_sigma(clock, a, b) + integrated_sigma(clock, b, c)
         assert abs(whole - split) <= 1e-10
+
+
+@pytest.mark.parametrize("clock", [
+    ExpansionClock(b=lambda T: 0.1 * T + 0.02 * T**2, b_rate=lambda T: 0.1 + 0.04 * T),
+    ExpansionClock(b=lambda T: 0.1 * T + 0.02 * T**2),
+    build_clock({"kind": "expansion", "b_poly": [0.0, 0.3, 0.05, -0.002]}),
+    FundamentalLimitClock(t_planck=0.1, t_max=11.0),
+], ids=["b_rate", "finite_difference", "b_poly", "fundamental"])
+def test_sigma_over_an_array_equals_the_scalar_calls(clock, rng):
+    readings = np.concatenate([[0.0], rng.uniform(0.0, 10.0, size=200)])
+    values = sigma(clock, readings)
+    assert isinstance(values, np.ndarray) and values.shape == readings.shape
+    scalars = [sigma(clock, float(t)) for t in readings]
+    assert all(isinstance(value, float) for value in scalars)
+    assert values.tolist() == scalars
+    assert sigma(clock, readings.reshape(3, 67)).tolist() == values.reshape(3, 67).tolist()
+
+
+def test_sigma_over_an_array_names_the_first_negative_rate():
+    # rate 0.1 - 0.2 T turns negative after T = 0.5; the first failing
+    # midpoint of 0.01 steps is 0.505, not the most negative reading
+    clock = build_clock({"kind": "expansion", "b_poly": [0.0, 0.1, -0.1]})
+    readings = np.arange(100) * 0.01 + 0.005
+    with pytest.raises(ValidationError,
+                       match=r"^width-growth rate must be nonnegative, got -1\.000e-03 at T=0\.505$"):
+        sigma(clock, readings)
+
+
+def test_sigma_over_an_array_names_the_first_reading_past_the_horizon():
+    clock = FundamentalLimitClock(t_planck=0.1, t_max=2.0)
+    with pytest.raises(ClockDomainError,
+                       match=r"^sigma\(T\) diverges at the horizon: T=2\.5 >= t_max=2\.0$"):
+        sigma(clock, np.array([0.5, 1.5, 2.5, 3.0, 2.0]))
 
 
 def test_sigma_nonnegative_everywhere(rng):

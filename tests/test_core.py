@@ -227,6 +227,18 @@ class TestEigendecompose:
             assert np.max(np.abs(to_stack - dec.to_eig(m))) <= 1e-14
             assert np.max(np.abs(from_stack - dec.from_eig(m))) <= 1e-14
 
+    @pytest.mark.parametrize("d", [2, 16, 64])
+    def test_stacked_basis_change_matches_a_loop(self, d, rng):
+        # the stacked route takes two GEMMs over the whole stack
+        dec = eigendecompose(random_hermitian(rng, d, norm=2.0))
+        v = dec.eigenvectors
+        stack = np.array([random_density(rng, d).matrix for _ in range(33)])
+        to_stack, from_stack = dec.to_eig(stack), dec.from_eig(stack)
+        assert to_stack.shape == from_stack.shape == stack.shape
+        for k, m in enumerate(stack):
+            assert np.max(np.abs(to_stack[k] - v.conj().T @ m @ v)) <= 1e-14
+            assert np.max(np.abs(from_stack[k] - v @ m @ v.conj().T)) <= 1e-14
+
     def test_kernel_broadcasts_over_times_and_exponents(self):
         dec = eigendecompose(HermitianOperator(np.diag([0.0, 1.0, 3.0])))
         t = np.array([0.0, 0.5, 2.0])

@@ -33,7 +33,8 @@ from realclock_qm import (
     unitary_evolve,
 )
 from realclock_qm.clocks import ExpansionClock, pdf, sigma
-from realclock_qm.evolution import _expansion_drift, _rk4_factors, _simpson_weights
+from realclock_qm import evolution
+from realclock_qm.evolution import _simpson_weights
 from helpers import plus_state, qubit_hamiltonian, random_density, random_hermitian
 
 QUBIT = qubit_hamiltonian(1.0)
@@ -182,28 +183,6 @@ class TestMasterStep:
         oracle = mpmath.mpf("0.5") * mpmath.exp(-1j * mpmath.mpf(1)) * mpmath.exp(mpmath.mpf("-0.25"))
         assert abs(state.matrix[1, 0] - complex(oracle)) <= 1e-8
 
-    def test_drift_scales_the_unitary_term(self, rng):
-        # independently written right-hand side for an asymmetric reading
-        # distribution: -i (1 - a') [H, r] - (sigma - a) [H, [H, r]]
-        rho = random_density(rng, 3)
-        h = random_hermitian(rng, 3, norm=1.0)
-        sig, a, a_rate, dt = 0.3, 0.1, 0.2, 1e-3
-
-        def rhs(r):
-            d = h.matrix
-            comm = d @ r - r @ d
-            return -1j * (1.0 - a_rate) * comm - (sig - a) * (d @ comm - comm @ d)
-
-        k1 = rhs(rho.matrix)
-        k2 = rhs(rho.matrix + 0.5 * dt * k1)
-        k3 = rhs(rho.matrix + 0.5 * dt * k2)
-        k4 = rhs(rho.matrix + dt * k3)
-        expected = rho.matrix + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        expected = 0.5 * (expected + expected.conj().T)
-        expected /= np.trace(expected).real
-        stepped = master_step(rho, h, sig, dt, drift_a=a, drift_a_rate=a_rate)
-        assert np.max(np.abs(stepped.matrix - expected)) <= 1e-14
-
     def test_step_size_precondition(self):
         with pytest.raises(ValidationError, match="step too large"):
             master_step(plus_state(), qubit_hamiltonian(10.0), 0.5, 0.1)
@@ -273,17 +252,6 @@ class TestEvolveMaster:
                              default_cfg(step=1e-3))
         for T, state in traj:
             assert abs(abs(state.matrix[0, 1]) - 0.5 * math.exp(-0.25 * T)) <= 1e-8
-
-    def test_asymmetric_distribution_coefficient(self):
-        # constant first-order coefficient a: decoherence rate becomes
-        # (sigma - a) omega^2 while the unitary drift is unchanged
-        clock = ExpansionClock(b=lambda T: 0.3 * T, b_rate=lambda T: 0.3,
-                               a=lambda T: 0.1)
-        traj = evolve_master(plus_state(), QUBIT, clock, 2.0, default_cfg(step=1e-3))
-        T, state = traj[-1]
-        assert state.matrix[1, 0] == pytest.approx(
-            analytic_offdiagonal(0.5, 1.0, 0.2, T), abs=1e-7
-        )
 
     def test_time_dependent_sigma_against_exponent_integral(self):
         # sigma(T) = 0.1 + 0.1 T: exponent integral is 0.1 T + 0.05 T^2
@@ -365,28 +333,23 @@ class TestEvolveMaster:
             errors.append(err)
         assert errors[0] / errors[1] >= 12.8
 
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("asymmetric", [False, True], ids=["symmetric", "drift"])
-    def test_expansion_route_equals_iterated_master_step(self, seed, asymmetric):
+    @pytest.mark.parametrize("seed", range(6), ids=[f"symmetric-{s}" for s in range(6)])
+    def test_expansion_route_equals_iterated_master_step(self, seed):
         # the energy-basis route against the matrix-form RK4 oracle, with the
         # same midpoint coefficients the route uses
-        rng = np.random.default_rng([seed, asymmetric])
+        rng = np.random.default_rng([seed, 0])
         dim = int(rng.integers(2, 7))
         h = random_hermitian(rng, dim, norm=1.5)
         rho = random_density(rng, dim)
         s0, s1 = rng.uniform(0.1, 0.3, size=2)
-        c0, c1 = rng.uniform(0.0, 0.05, size=2)
         clock = ExpansionClock(b=lambda T: s0 * T + 0.5 * s1 * T * T,
-                               b_rate=lambda T: s0 + s1 * T,
-                               a=(lambda T: c0 + c1 * T) if asymmetric else None)
+                               b_rate=lambda T: s0 + s1 * T)
         traj = evolve_master(rho, h, clock, 1.0, default_cfg(step=1e-2))
         assert len(traj) == 101
         state = rho
         for (t0, _), (t1, stepped) in zip(traj, traj[1:]):
             mid = 0.5 * (t0 + t1)
-            drift_a, drift_a_rate = _expansion_drift(clock, mid)
-            state = master_step(state, h, sigma(clock, mid), t1 - t0,
-                                drift_a=drift_a, drift_a_rate=drift_a_rate)
+            state = master_step(state, h, sigma(clock, mid), t1 - t0)
             assert np.max(np.abs(stepped.matrix - state.matrix)) <= 1e-12
 
     @pytest.mark.parametrize("clock", [
@@ -430,6 +393,88 @@ class TestEvolveMaster:
                     expected = (rho_eig0[n, m] * np.exp(-1j * bohr[n, m] * T)
                                 * fundamental_decay_factor(bohr[n, m], T, clock.t_planck))
                     assert abs(rho_eig[n, m] - expected) <= 1e-12
+
+
+class TestTrajectory:
+    """evolve_master returns its validated stack as arrays; the sequence of
+    (t, DensityMatrix) pairs is built from the rows on access."""
+
+    @pytest.fixture
+    def traj(self, rng):
+        return evolve_master(random_density(rng, 3), random_hermitian(rng, 3, norm=0.5),
+                             constant_width_growth(0.2), 0.5, default_cfg(step=0.1))
+
+    @staticmethod
+    def assert_pair(pair, t, m):
+        assert isinstance(pair[0], float) and pair[0] == t
+        assert isinstance(pair[1], DensityMatrix)
+        assert np.array_equal(pair[1].matrix, DensityMatrix(m).matrix)
+        assert not pair[1].matrix.flags.writeable
+
+    def test_arrays_are_read_only(self, traj):
+        assert traj.times.shape == (6,) and traj.states.shape == (6, 3, 3)
+        assert not traj.times.flags.writeable
+        assert not traj.states.flags.writeable
+
+    def test_length_indexing_and_iteration(self, traj):
+        assert len(traj) == 6
+        for k in range(6):
+            self.assert_pair(traj[k], traj.times[k], traj.states[k])
+            self.assert_pair(traj[k - 6], traj.times[k], traj.states[k])
+        pairs = list(traj)
+        assert len(pairs) == 6
+        for pair, t, m in zip(pairs, traj.times, traj.states):
+            self.assert_pair(pair, t, m)
+        with pytest.raises(IndexError):
+            traj[6]
+
+    def test_slices_give_lists(self, traj):
+        for index in (slice(None), slice(1, None), slice(None, None, 2), slice(-2, None),
+                      slice(None, None, -1), slice(4, 1)):
+            part = traj[index]
+            assert isinstance(part, list)
+            rows = range(6)[index]
+            assert len(part) == len(rows)
+            for pair, k in zip(part, rows):
+                self.assert_pair(pair, traj.times[k], traj.states[k])
+
+    def test_first_row_is_the_initial_state(self, rng):
+        rho = random_density(rng, 3)
+        traj = evolve_master(rho, random_hermitian(rng, 3, norm=1.0), IdealClock(), 1.0,
+                             default_cfg(step=0.1))
+        assert np.array_equal(traj.states[0], rho.matrix)
+        assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
+
+    def test_zero_duration_holds_the_initial_state(self, rng):
+        rho = random_density(rng, 3)
+        traj = evolve_master(rho, random_hermitian(rng, 3, norm=1.0),
+                             constant_width_growth(0.2), 0.0, default_cfg())
+        assert len(traj) == 1
+        assert traj.times.tolist() == [0.0]
+        assert np.array_equal(traj.states[0], rho.matrix)
+        assert not traj.states.flags.writeable
+        self.assert_pair(traj[0], 0.0, rho.matrix)
+        self.assert_pair(traj[-1], 0.0, rho.matrix)
+
+
+def test_trajectory_builds_no_state_and_calls_the_rate_once_per_step(monkeypatch):
+    post_init = DensityMatrix.__post_init__
+    states, rates = [], []
+
+    def counting_post_init(self):
+        states.append(1)
+        post_init(self)
+
+    def rate(T):
+        rates.append(T)
+        return 0.25
+
+    rho0, clock = plus_state(), ExpansionClock(b=lambda T: 0.25 * T, b_rate=rate)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting_post_init)
+    traj = evolve_master(rho0, QUBIT, clock, 10.0, default_cfg(step=1e-3))
+    assert len(traj) == 10_001
+    assert len(states) == 0
+    assert len(rates) == 10_000
 
 
 class TestClosedForms:
@@ -536,32 +581,33 @@ class TestConservation:
         assert excinfo.value.commutator_norm == pytest.approx(1.0)
 
 
-def test_integration_failure_names_the_step():
-    # an asymmetric-drift coefficient exceeding sigma makes the coherence
-    # grow, which must be caught as a positivity violation of the output
+def _growing_factors(clock, dec, starts, h):
+    """RK4 factors of a rate that makes coherence grow like e^{T/2} (sigma = -1/2
+    on a unit gap), which no clock can set; it breaks positivity of a
+    coherent state near T = 1."""
+    b = dec.bohr_frequencies
+    z = h * (-1j * b + 0.5 * b * b) * np.ones((len(starts), 1, 1))
+    r = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+    return np.concatenate([np.ones((1,) + b.shape), np.cumprod(r, axis=0)])
+
+
+def test_integration_failure_names_the_step(monkeypatch):
+    # a step whose result is not a state is reported as a failed integration
+    monkeypatch.setattr(evolution, "_rk4_step", lambda rho, *_: np.diag([1.5, -0.5]))
     with pytest.raises(IntegrationFailureError, match="smaller step"):
-        state = plus_state()
-        for _ in range(50):
-            state = master_step(state, QUBIT, 0.0, 1e-2, drift_a=0.5)
+        master_step(plus_state(), QUBIT, 0.0, 1e-2)
 
 
-def test_evolve_master_reports_growing_coherence_as_integration_failure():
-    clock = ExpansionClock(b=lambda T: 0.0, b_rate=lambda T: 0.0, a=lambda T: 0.5)
-    with pytest.raises(IntegrationFailureError, match="smaller step"):
-        evolve_master(plus_state(), QUBIT, clock, 0.5, default_cfg())
-
-
-def test_integration_failure_names_the_first_invalid_output():
-    # coherence 0.3 grows like e^{T/2} and breaks positivity near T = 1
-    clock = ExpansionClock(b=lambda T: 0.0, b_rate=lambda T: 0.0, a=lambda T: 0.5)
+def test_integration_failure_names_the_first_invalid_output(monkeypatch):
+    monkeypatch.setattr(evolution, "_rk4_factors", _growing_factors)
     rho0 = DensityMatrix(np.array([[0.5, 0.3], [0.3, 0.5]]))
     with pytest.raises(IntegrationFailureError, match="smaller step") as excinfo:
-        evolve_master(rho0, QUBIT, clock, 2.0, default_cfg())
+        evolve_master(rho0, QUBIT, constant_width_growth(0.0), 2.0, default_cfg())
     # the same outputs, built as evolve_master builds them, checked one by one
     dec = eigendecompose(QUBIT)
     times = [k * 1e-2 for k in range(201)]
     times[-1] = 2.0
-    states = dec.from_eig(dec.to_eig(rho0.matrix) * _rk4_factors(clock, dec, times[:-1], 1e-2))
+    states = dec.from_eig(dec.to_eig(rho0.matrix) * _growing_factors(None, dec, times[:-1], 1e-2))
     for t, m in zip(times[1:], states[1:]):
         try:
             DensityMatrix(m)
