@@ -14,7 +14,6 @@ import numpy as np
 
 from realclock_qm import (
     DensityMatrix,
-    EvolutionConfig,
     FundamentalLimitClock,
     HermitianOperator,
     constant_width_growth,
@@ -38,11 +37,9 @@ CLOCKS = [
 def main():
     h = HermitianOperator(np.diag([0.0, OMEGA]))
     rho0 = DensityMatrix(np.full((2, 2), 0.5))
-    cfg = EvolutionConfig(step=STEP, t_min=0.0, t_max=T_FINAL, n_points=3)
-
     curves = {}
     for name, clock in CLOCKS:
-        traj = evolve_master(rho0, h, clock, T_FINAL, cfg)
+        traj = evolve_master(rho0, h, clock, T_FINAL, STEP)
         times = traj.times.tolist()
         rho01 = traj.states[:, 0, 1]
         curves[name] = np.hypot(rho01.real, rho01.imag).tolist()  # the bits of abs(rho01)

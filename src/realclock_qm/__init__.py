@@ -15,9 +15,7 @@ from .clock_accuracy import (
     salecker_wigner_error,
 )
 from .clocks import (
-    DELTA,
     ClockModel,
-    DeltaFlag,
     ExpansionClock,
     FundamentalLimitClock,
     GaussianClock,
@@ -75,7 +73,6 @@ from .evolution import (
 )
 from .zurek import (
     RecurrenceScan,
-    ReducedState,
     SpinBath,
     brute_force_z,
     random_bath,

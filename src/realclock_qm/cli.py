@@ -40,7 +40,7 @@ from . import config as cfgmod
 from .clock_accuracy import experiment_report, salecker_wigner_error
 from .clocks import GaussianClock
 from .core import HermitianOperator, eigendecompose
-from .errors import ConfigError, RealClockQMError
+from .errors import ConfigError, RealClockQMError, ValidationError
 from .evolution import (
     ConditionalQuery,
     EvolutionConfig,
@@ -79,21 +79,6 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _evolution_config(document: dict, t_final: float) -> EvolutionConfig:
-    section = document.get("evolution", {})
-    grid = section.get("grid")
-    if grid is None:
-        # master evolution needs no quadrature grid; supply a valid default
-        grid = {"t_min": 0.0, "t_max": max(t_final, 1.0), "n_points": 101}
-    return EvolutionConfig(
-        step=float(section.get("step", 1e-3)),
-        t_min=float(grid["t_min"]),
-        t_max=float(grid["t_max"]),
-        n_points=int(grid["n_points"]),
-        quad_tol=float(section.get("quad_tol", 1e-8)),
-    )
-
-
 def run_evolve(document: dict) -> RunResult:
     hamiltonian = cfgmod.build_hamiltonian(document.get("system"))
     rho0 = cfgmod.build_initial_state(document.get("initial_state"), hamiltonian.dim)
@@ -101,10 +86,8 @@ def run_evolve(document: dict) -> RunResult:
     section = document.get("evolution") or {}
     if "t_final" not in section:
         raise ConfigError("config key 'evolution.t_final': required for evolve")
-    t_final = float(section["t_final"])
-    cfg = _evolution_config(document, t_final)
-
-    trajectory = evolve_master(rho0, hamiltonian, clock, t_final, cfg)
+    trajectory = evolve_master(rho0, hamiltonian, clock, float(section["t_final"]),
+                               float(section.get("step", 1e-3)))
     stack = trajectory.states
     dim = hamiltonian.dim
     columns = ["t"]
@@ -211,9 +194,16 @@ def run_condprob(document: dict) -> RunResult:
             f"config key 'condprob.observable': dimension {observable.dim} "
             f"does not match system {hamiltonian.dim}"
         )
-    cfg = _evolution_config(document, 1.0)
-    if (document.get("evolution") or {}).get("grid") is None:
+    evolution = document.get("evolution") or {}
+    grid = evolution.get("grid")
+    if grid is None:
         raise ConfigError("config key 'evolution.grid': required for condprob")
+    try:
+        cfg = EvolutionConfig(t_min=float(grid["t_min"]), t_max=float(grid["t_max"]),
+                              n_points=int(grid["n_points"]),
+                              quad_tol=float(evolution.get("quad_tol", 1e-8)))
+    except ValidationError as exc:
+        raise ConfigError(f"config key 'evolution.grid': {exc}") from exc
 
     mode = section["mode"]
     reading_operator = None

@@ -5,9 +5,10 @@ T when the unobservable ideal time is t. Densities are normalized over t at
 fixed reading T (that convention is what preserves the trace of the smeared
 state). Four kinds are supported:
 
-* IdealClock          -- delta-sharp reading, recovers ordinary evolution.
+* IdealClock          -- delta-sharp reading, recovers ordinary evolution;
+                         every route handles it before asking for a density.
 * GaussianClock       -- normal density in t with reading-dependent width,
-                         optional strictly increasing peak map T(t).
+                         peaked at rate * t.
 * ExpansionClock      -- semiclassical expansion around a delta; only the
                          width-growth rate sigma(T) = db/dT enters evolution.
 * FundamentalLimitClock -- width growth at the best accuracy any physical
@@ -26,18 +27,6 @@ from .core import require_finite
 from .errors import ClockDomainError, UnsupportedClockKindError, ValidationError
 
 
-class DeltaFlag:
-    """Sentinel returned by pdf() for the ideal (delta-sharp) clock."""
-
-    def __repr__(self):  # pragma: no cover
-        return "DELTA"
-
-
-DELTA = DeltaFlag()
-
-_FD_STEP = 1e-6
-
-
 @dataclass(frozen=True)
 class IdealClock:
     """Perfectly sharp clock: reading equals ideal time."""
@@ -45,22 +34,25 @@ class IdealClock:
 
 @dataclass(frozen=True)
 class GaussianClock:
-    """Normal reading distribution of width w(T), peaked at peak_map(t).
+    """Normal reading distribution of width w(T), peaked at rate * t.
 
     ``width`` is either a positive constant or a callable w(T) > 0 giving
-    the width in reading units. ``peak_map`` defaults to the identity and
-    must be strictly increasing; its rate enters the density as a Jacobian
-    so that the integral over t stays exactly 1 for any valid peak map.
+    the width in reading units. ``rate`` is the positive, finite speed of
+    the peak in reading units per unit of ideal time; it enters the density
+    as a Jacobian so that the integral over t stays exactly 1.
     """
 
     width: Union[float, Callable[[float], float]]
-    peak_map: Callable[[np.ndarray], np.ndarray] | None = None
-    peak_rate: Callable[[np.ndarray], np.ndarray] | None = None
+    rate: float = 1.0
 
     def __post_init__(self):
         if not callable(self.width) and not 0 < float(self.width) < math.inf:
             raise ValidationError(
                 f"Gaussian clock width must be positive and finite, got {self.width}"
+            )
+        if not 0 < float(self.rate) < math.inf:
+            raise ValidationError(
+                f"Gaussian clock rate must be positive and finite, got {self.rate}"
             )
 
     def width_at(self, reading: float) -> float:
@@ -77,12 +69,12 @@ class ExpansionClock:
     """Narrow distribution described by its delta expansion coefficients.
 
     ``b`` is the second-order coefficient (extra width, b(T) > 0 away from
-    T = 0); ``b_rate`` its analytic derivative when available. Both are
-    scalar callables: they are called once per reading.
+    T = 0) and ``b_rate`` its derivative. Both are scalar callables: they
+    are called once per reading.
     """
 
     b: Callable[[float], float]
-    b_rate: Callable[[float], float] | None = None
+    b_rate: Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -113,37 +105,17 @@ def constant_width_growth(sigma: float) -> ExpansionClock:
     return ExpansionClock(b=lambda T: sigma * T, b_rate=lambda T: sigma)
 
 
-def _peak_and_rate(clock: GaussianClock, t):
-    t = np.asarray(t, dtype=float)
-    if clock.peak_map is None:
-        return t, np.ones_like(t)
-    peak = np.asarray(clock.peak_map(t), dtype=float)
-    if clock.peak_rate is not None:
-        rate = np.asarray(clock.peak_rate(t), dtype=float)
-    else:
-        h = _FD_STEP * np.maximum(1.0, np.abs(t))
-        rate = (np.asarray(clock.peak_map(t + h)) - np.asarray(clock.peak_map(t - h))) / (2 * h)
-    if np.any(rate <= 0):
-        raise ValidationError("peak map must be strictly increasing")
-    return peak, rate
-
-
 def pdf(clock: ClockModel, reading: float, t):
-    """Probability density P_t(T) of reading T at ideal time t.
-
-    For the ideal clock this returns the DELTA sentinel, which callers
-    handle by short-circuiting to sharp evolution. ``t`` may be a scalar
-    or an array; the reading is always a scalar.
+    """Probability density P_t(T) of reading T at ideal time t, for a
+    Gaussian clock. ``t`` may be a scalar or an array; the reading is
+    always a scalar.
     """
-    if isinstance(clock, IdealClock):
-        return DELTA
     if isinstance(clock, GaussianClock):
         w = clock.width_at(reading)
-        peak, rate = _peak_and_rate(clock, t)
-        z = (reading - peak) / w
-        return rate * np.exp(-0.5 * z * z) / (math.sqrt(2 * math.pi) * w)
+        z = (reading - clock.rate * np.asarray(t, dtype=float)) / w
+        return clock.rate * np.exp(-0.5 * z * z) / (math.sqrt(2 * math.pi) * w)
     raise UnsupportedClockKindError(
-        f"{type(clock).__name__} has no pointwise density; use sigma()/integrated_sigma()"
+        f"pdf() is defined for Gaussian clocks, not {type(clock).__name__}"
     )
 
 
@@ -152,22 +124,18 @@ def sigma(clock: ClockModel, reading):
 
     ``reading`` is a scalar, which gives a float, or an array, which gives
     an array of its shape equal element by element to the scalar calls.
-    An expansion clock's b_rate (or the central difference of b) is called
-    once per reading, and the fundamental-limit formula is evaluated per
-    reading in Python floats; the sign check with its clip at 0 and the
-    horizon check each run over the whole array and name the first
-    failing reading.
+    An expansion clock's b_rate is called once per reading, and the
+    fundamental-limit formula is evaluated per reading in Python floats;
+    the sign check with its clip at 0 and the horizon check each run over
+    the whole array and name the first failing reading. Both checks are
+    negated comparisons, so a NaN rate or reading fails them too.
     """
     t = np.asarray(reading, dtype=float)
     readings = t.ravel().tolist()
     if isinstance(clock, ExpansionClock):
-        if clock.b_rate is not None:
-            rates = [float(clock.b_rate(r)) for r in readings]
-        else:
-            steps = [_FD_STEP * max(1.0, abs(r)) for r in readings]
-            rates = [(clock.b(r + h) - clock.b(r - h)) / (2 * h) for r, h in zip(readings, steps)]
+        rates = [float(clock.b_rate(r)) for r in readings]
         value = np.array(rates, dtype=float)
-        bad = np.flatnonzero(value < -1e-8)
+        bad = np.flatnonzero(~(value >= -1e-8))
         if bad.size:
             raise ValidationError(
                 f"width-growth rate must be nonnegative, got {rates[bad[0]]:.3e} "
@@ -175,7 +143,7 @@ def sigma(clock: ClockModel, reading):
             )
         value = np.maximum(value, 0.0)
     elif isinstance(clock, FundamentalLimitClock):
-        bad = np.flatnonzero(t.ravel() >= clock.t_max)
+        bad = np.flatnonzero(~(t.ravel() < clock.t_max))
         if bad.size:
             raise ClockDomainError(
                 f"sigma(T) diverges at the horizon: T={readings[bad[0]]} >= t_max={clock.t_max}"

@@ -22,12 +22,12 @@ TOL_IDEMPOTENT = 1e-10
 TOL_DECOMPOSITION = 1e-10
 
 
-def as_square_complex(entries, name: str = "matrix", ndim: int = 2) -> np.ndarray:
-    """Coerce to a read-only square complex array (a stack at ndim 3), validating the shape."""
+def as_square_complex(entries, name: str = "matrix") -> np.ndarray:
+    """Coerce to a read-only square complex array, validating the shape."""
     m = np.array(entries, dtype=complex)
-    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {m.shape}")
-    if m.shape[-1] == 0:
+    if m.shape[0] == 0:
         raise ValidationError(f"{name} must have positive dimension")
     m.setflags(write=False)
     return m
@@ -132,14 +132,6 @@ class DensityMatrix:
         _require_density_stack(m[None])
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def stack(cls, matrices) -> list["DensityMatrix"]:
-        """One state per matrix of an (n, d, d) stack, all validated before any
-        is built; the states are read-only views of one read-only array."""
-        stack = as_square_complex(matrices, "density matrix stack", ndim=3)
-        _require_density_stack(stack)
-        return [_validated_state(m) for m in stack]
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -178,14 +170,6 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-
-def _validated_state(m: np.ndarray) -> DensityMatrix:
-    """A DensityMatrix around a read-only matrix already checked by
-    _require_density_stack, built without checking it again."""
-    state = object.__new__(DensityMatrix)
-    object.__setattr__(state, "matrix", m)
-    return state
 
 
 @dataclass(frozen=True, eq=False)

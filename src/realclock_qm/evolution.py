@@ -8,18 +8,21 @@ Three routes are implemented and cross-checked against each other:
                       - sigma(T) [H, [H, rho]], as one factor per output
                       time on rho_nm in the energy eigenbasis: the closed
                       form for ideal and fundamental-limit clocks, RK4's
-                      stability polynomial for expansion clocks. A
-                      trajectory is one validated (n+1, d, d) stack: one
-                      sigma call per trajectory, two GEMMs per basis
-                      change, one stacked validation, and no per-state
-                      object unless the caller indexes the Trajectory.
+                      stability polynomial for expansion clocks, over
+                      steps no longer than the given step. A trajectory
+                      is its times and one validated (n+1, d, d) stack of
+                      states: one sigma call per trajectory, two GEMMs per
+                      basis change, one stacked validation, and no
+                      per-state object.
 * analytic_offdiagonal / fundamental_decay_factor -- closed forms for the
                       off-diagonal elements, used as oracles.
 
-The conditional-probability operations realize relational measurement:
-"probability that O is in a window given the clock reads T in a window",
-evaluated as a ratio of ideal-time integrals over a finite grid whose
-adequacy is checked by doubling it. Their trace curves Tr(X rho(t)) come
+The smearing and conditional-probability routes integrate over ideal time
+on the quadrature grid of an EvolutionConfig; the master equation takes
+only its step. The conditional-probability operations realize relational
+measurement: "probability that O is in a window given the clock reads T in
+a window", evaluated as a ratio of ideal-time integrals over a finite grid
+whose adequacy is checked by doubling it. Their trace curves Tr(X rho(t)) come
 from the state's rank factors (_trace_curves): one (T x d)(d x d) amplitude
 GEMM per rank factor and distinct operator, however many windows of that
 operator are queried, plus one real product for all of them. A pure state
@@ -39,7 +42,6 @@ one eigh per _trace_curves call for its rank factors.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +62,6 @@ from .core import (
     HermitianOperator,
     Projector,
     _require_density_stack,
-    _validated_state,
     commutator,
     eigendecompose,
     require_finite,
@@ -81,19 +82,15 @@ from .errors import (
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Numerical parameters: step size and the ideal-time quadrature grid."""
+    """The ideal-time quadrature grid of the smearing and relational routes."""
 
-    step: float
     t_min: float
     t_max: float
     n_points: int
     quad_tol: float = 1e-8
 
     def __post_init__(self):
-        require_finite(step=self.step, t_min=self.t_min, t_max=self.t_max,
-                       quad_tol=self.quad_tol)
-        if self.step <= 0:
-            raise ValidationError(f"step must be positive, got {self.step}")
+        require_finite(t_min=self.t_min, t_max=self.t_max, quad_tol=self.quad_tol)
         if self.n_points < 3:
             raise ValidationError(f"need at least 3 grid points, got {self.n_points}")
         if not self.t_min < self.t_max:
@@ -311,10 +308,11 @@ def _rk4_step(rho: np.ndarray, h_mat: np.ndarray, sig: float, h: float) -> np.nd
 
 
 def _require_stable_step(h: float, sig: float, energies: np.ndarray) -> None:
-    """Reject a step outside RK4's stability margin, h(|H|^2 sigma + |H|) < 0.1."""
+    """Reject a step outside RK4's stability margin, h(|H|^2 sigma + |H|) < 0.1;
+    the comparison is negated so that a NaN stiffness fails it too."""
     norm = float(np.max(np.abs(energies)))
     stiffness = h * (norm * norm * sig + norm)
-    if stiffness >= 0.1:
+    if not stiffness < 0.1:
         raise ValidationError(
             f"step too large for this Hamiltonian/width-rate: "
             f"h*(|H|^2 sigma + |H|) = {stiffness:.3g} >= 0.1"
@@ -338,9 +336,9 @@ def master_step(
     energy-basis RK4.
     """
     require_same_dim(rho, hamiltonian, "Hamiltonian")
-    if sigma_value < 0:
+    if not sigma_value >= 0:
         raise ValidationError(f"sigma must be nonnegative, got {sigma_value}")
-    if h <= 0:
+    if not h > 0:
         raise ValidationError(f"step must be positive, got {h}")
     _require_stable_step(h, sigma_value, np.linalg.eigvalsh(hamiltonian.matrix))
     try:
@@ -352,14 +350,9 @@ def master_step(
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory(Sequence):
+class Trajectory:
     """A master-equation trajectory: ``times`` (n+1,) and the validated
-    ``states`` (n+1, d, d), both read-only arrays.
-
-    As a sequence it holds the pairs (t, DensityMatrix): indexing, negative
-    indices and iteration build each pair on access as a view of its row,
-    without checking it again, and a slice gives a list of pairs.
-    """
+    ``states`` (n+1, d, d), both read-only arrays."""
 
     times: np.ndarray
     states: np.ndarray
@@ -368,23 +361,16 @@ class Trajectory(Sequence):
         self.times.setflags(write=False)
         self.states.setflags(write=False)
 
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        return float(self.times[index]), _validated_state(self.states[index])
-
 
 def evolve_master(
     rho0: DensityMatrix,
     hamiltonian: HermitianOperator,
     clock: ClockModel,
     t_final: float,
-    cfg: EvolutionConfig,
+    step: float,
 ) -> Trajectory:
-    """Trajectory of the modified evolution from T = 0 to T = t_final.
+    """Trajectory of the modified evolution from T = 0 to T = t_final, with
+    an output after each of the fewest equal steps no longer than ``step``.
 
     Every clock multiplies rho_nm in the energy eigenbasis by one factor per
     output time: exp(-i omega_nm T - omega_nm^2 Sigma(T)) for the ideal
@@ -394,16 +380,19 @@ def evolve_master(
 
     Cost model: the factors, both basis changes and the validation are
     whole-stack operations, and the outputs are one (n+1, d, d) array,
-    validated once by _require_density_stack. No DensityMatrix is built
-    unless the caller indexes the Trajectory. Row 0 is rho0's matrix.
+    validated once by _require_density_stack; no DensityMatrix is built.
+    Row 0 is rho0's matrix.
     """
+    require_finite(t_final=t_final, step=step)
     if t_final < 0:
         raise ValidationError(f"t_final must be nonnegative, got {t_final}")
+    if step <= 0:
+        raise ValidationError(f"step must be positive, got {step}")
     require_same_dim(rho0, hamiltonian, "Hamiltonian")
     if t_final == 0:
         return Trajectory(np.zeros(1), rho0.matrix[None])
 
-    n_steps = max(1, math.ceil(t_final / cfg.step - 1e-12))
+    n_steps = max(1, math.ceil(t_final / step - 1e-12))
     h = t_final / n_steps
     times = np.arange(n_steps + 1) * h
     times[-1] = t_final
@@ -654,7 +643,7 @@ def despagnat_conservation(
     rho0: DensityMatrix,
     clock: ClockModel,
     t_final: float,
-    cfg: EvolutionConfig,
+    step: float,
 ) -> ConservationReport:
     """Track Tr(C rho(T)) along the modified evolution.
 
@@ -669,7 +658,7 @@ def despagnat_conservation(
             f"(tol {COMMUTATOR_TOL:.1e})",
             commutator_norm=comm_norm,
         )
-    trajectory = evolve_master(rho0, hamiltonian, clock, t_final, cfg)
+    trajectory = evolve_master(rho0, hamiltonian, clock, t_final, step)
     values = np.einsum("ij,kji->k", observable.matrix, trajectory.states).real
     samples = tuple(zip(trajectory.times.tolist(), values.tolist()))
     spread = float(values.max() - values.min())
@@ -687,9 +676,9 @@ class WavepacketClock:
 
     The reading operator is position relative to the packet's start, so the
     expected reading is velocity * t with Gaussian fluctuations of width
-    sigma_x(t). ``gaussian_model`` is the matched analytic clock (width and
-    peak map from the exact free-packet solution) for cross-checks. Valid
-    while the packet stays away from the periodic wrap.
+    sigma_x(t). ``gaussian_model`` is the matched analytic clock (width from
+    the exact free-packet solution, rate the velocity) for cross-checks.
+    Valid while the packet stays away from the periodic wrap.
     """
 
     rho: DensityMatrix
@@ -749,17 +738,12 @@ def make_wavepacket_clock(
         ideal_t = reading / velocity
         return sigma0 * math.sqrt(1.0 + (ideal_t / spread_scale) ** 2)
 
-    model = GaussianClock(
-        width=width,
-        peak_map=lambda t: velocity * np.asarray(t, dtype=float),
-        peak_rate=lambda t: np.full_like(np.asarray(t, dtype=float), velocity),
-    )
     return WavepacketClock(
         rho=rho,
         hamiltonian=h_cl,
         reading_operator=HermitianOperator.from_spectrum(
             EnergyDecomposition(x - x0, np.eye(n))),
-        gaussian_model=model,
+        gaussian_model=GaussianClock(width=width, rate=velocity),
         positions=x,
         grid_spacing=dx,
         velocity=velocity,

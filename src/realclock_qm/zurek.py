@@ -76,21 +76,6 @@ class SpinBath:
         return self.couplings.shape[0]
 
 
-@dataclass(frozen=True)
-class ReducedState:
-    """Populations and coherence of the reduced two-level state."""
-
-    population_plus: float
-    population_minus: float
-    coherence: complex
-
-    def __post_init__(self):
-        if abs(self.population_plus + self.population_minus - 1.0) > 1e-10:
-            raise ValidationError("populations must sum to 1")
-        if abs(self.coherence) > 1.0 + 1e-10:
-            raise ValidationError(f"|z| must not exceed 1, got {abs(self.coherence):.12g}")
-
-
 def random_bath(
     n_atoms: int,
     coupling_range: tuple[float, float],
@@ -170,7 +155,7 @@ def brute_force_z(bath: SpinBath, t: float) -> complex:
     return complex(reduced[0, 1] / ab_conj)
 
 
-def reduced_density(bath: SpinBath, z: complex) -> tuple[ReducedState, DensityMatrix]:
+def reduced_density(bath: SpinBath, z: complex) -> DensityMatrix:
     """Reduced 2x2 state for a given coherence factor.
 
     rho = |a|^2 |+><+| + |b|^2 |-><-| + z a b* |+><-| + conj. transpose;
@@ -183,9 +168,7 @@ def reduced_density(bath: SpinBath, z: complex) -> tuple[ReducedState, DensityMa
     pop_plus = abs(bath.a) ** 2
     pop_minus = abs(bath.b) ** 2
     off = z * bath.a * np.conj(bath.b)
-    matrix = np.array([[pop_plus, off], [np.conj(off), pop_minus]])
-    state = ReducedState(population_plus=pop_plus, population_minus=pop_minus, coherence=complex(z))
-    return state, DensityMatrix(matrix)
+    return DensityMatrix(np.array([[pop_plus, off], [np.conj(off), pop_minus]]))
 
 
 @dataclass(frozen=True)

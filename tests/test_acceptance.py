@@ -54,16 +54,12 @@ def report(number, description, ok, detail=""):
     assert ok, f"criterion {number} failed: {description} {suffix}"
 
 
-def grid_cfg(step):
-    return EvolutionConfig(step=step, t_min=0.0, t_max=1.0, n_points=3)
-
-
 @pytest.fixture(scope="module")
 def decay_trajectory():
     """Criterion 1 trajectory: qubit omega=1, sigma=0.25, h=1e-3 to T=10."""
     start = time.perf_counter()
     traj = evolve_master(plus_state(), qubit_hamiltonian(1.0),
-                         constant_width_growth(0.25), 10.0, grid_cfg(1e-3))
+                         constant_width_growth(0.25), 10.0, 1e-3)
     return traj, time.perf_counter() - start
 
 
@@ -72,19 +68,17 @@ def fundamental_trajectory():
     """Criterion 2 trajectory: qubit omega=2, T_P=1e-2 to T=8."""
     clock = FundamentalLimitClock(t_planck=1e-2, t_max=20.0)
     start = time.perf_counter()
-    traj = evolve_master(plus_state(), qubit_hamiltonian(2.0), clock, 8.0, grid_cfg(1e-2))
+    traj = evolve_master(plus_state(), qubit_hamiltonian(2.0), clock, 8.0, 1e-2)
     return traj, time.perf_counter() - start
 
 
 def test_criterion_01_analytic_decay(decay_trajectory):
     traj, elapsed = decay_trajectory
     worst = 0.0
-    for t, state in traj:
+    for t, m in zip(traj.times, traj.states):
         expected_01 = analytic_offdiagonal(0.5, -1.0, 0.25, t)  # Bohr frequency of (0,1)
         expected_10 = analytic_offdiagonal(0.5, 1.0, 0.25, t)
-        worst = max(worst,
-                    abs(state.matrix[0, 1] - expected_01),
-                    abs(state.matrix[1, 0] - expected_10))
+        worst = max(worst, abs(m[0, 1] - expected_01), abs(m[1, 0] - expected_10))
     ok = worst <= 1e-8 and elapsed < 1.0
     report(1, "constant-sigma decay matches the closed form at every sample",
            ok, f"max dev {worst:.2e}, {elapsed:.2f}s")
@@ -92,7 +86,7 @@ def test_criterion_01_analytic_decay(decay_trajectory):
 
 def test_criterion_02_fundamental_limit_decay(fundamental_trajectory):
     traj, elapsed = fundamental_trajectory
-    ratio = abs(traj[-1][1].matrix[0, 1]) / abs(traj[0][1].matrix[0, 1])
+    ratio = abs(traj.states[-1, 0, 1]) / abs(traj.states[0, 0, 1])
     with mpmath.workdps(40):
         oracle = float(mpmath.exp(
             -4 * mpmath.mpf("0.01") ** mpmath.mpf("4/3") * mpmath.mpf(8) ** mpmath.mpf("2/3")
@@ -105,15 +99,14 @@ def test_criterion_02_fundamental_limit_decay(fundamental_trajectory):
 def _check_state_invariants(traj, hamiltonian):
     dec = eigendecompose(hamiltonian)
     v = dec.eigenvectors
-    diag0 = np.real(np.diag(v.conj().T @ traj[0][1].matrix @ v))
+    diag0 = np.real(np.diag(v.conj().T @ traj.states[0] @ v))
     prev_purity = None
     worst = {"trace": 0.0, "herm": 0.0, "eig": 0.0, "purity": 0.0, "diag": 0.0}
-    for _, state in traj:
-        m = state.matrix
+    for m in traj.states:
         worst["trace"] = max(worst["trace"], abs(np.trace(m).real - 1.0), abs(np.trace(m).imag))
         worst["herm"] = max(worst["herm"], float(np.max(np.abs(m - m.conj().T))))
         worst["eig"] = max(worst["eig"], max(0.0, -float(np.linalg.eigvalsh(m)[0])))
-        purity = state.purity()
+        purity = DensityMatrix(m).purity()
         if prev_purity is not None:
             worst["purity"] = max(worst["purity"], purity - prev_purity)
         prev_purity = purity
@@ -140,7 +133,7 @@ def test_criterion_03_state_invariants(decay_trajectory, fundamental_trajectory)
             b=lambda T, p=base, q=depth, nu=freq: p * T + 0.5 * q * (T - math.sin(nu * T) / nu),
             b_rate=lambda T, p=base, q=depth, nu=freq: p + 0.5 * q * (1 - math.cos(nu * T)),
         )
-        cases.append((evolve_master(rho, h, clock, 2.0, grid_cfg(1e-2)), h))
+        cases.append((evolve_master(rho, h, clock, 2.0, 1e-2), h))
 
     worst = {"trace": 0.0, "herm": 0.0, "eig": 0.0, "purity": 0.0, "diag": 0.0}
     for traj, h in cases:
@@ -166,7 +159,7 @@ def test_criterion_04_conserved_observables():
         c = (coeffs[0] * np.eye(4) + coeffs[1] * m
              + coeffs[2] * m @ m + coeffs[3] * m @ m @ m)
         rep = despagnat_conservation(HermitianOperator(c), h, rho,
-                                     constant_width_growth(0.3), 5.0, grid_cfg(1e-2))
+                                     constant_width_growth(0.3), 5.0, 1e-2)
         worst = max(worst, rep.spread)
     ok = worst <= 1e-8
     report(4, "observables commuting with H are conserved along the evolution",
@@ -191,7 +184,7 @@ def test_criterion_05_conditional_equivalence():
         query = ConditionalQuery(observable=obs, o_center=float(evals[1]),
                                  o_halfwidth=0.4 * float(evals[1] - evals[0]),
                                  t_center=reading, t_halfwidth=1e-3)
-        cfg = EvolutionConfig(step=1e-2, t_min=reading - 8 * width,
+        cfg = EvolutionConfig(t_min=reading - 8 * width,
                               t_max=reading + 8 * width, n_points=1601)
         clock = GaussianClock(width=width)
         p_cond = conditional_probability_analytic(clock, rho, h_sys, query, cfg)
@@ -217,7 +210,7 @@ def test_criterion_05_conditional_equivalence():
         reading = float(readings[site])
         w_t = packet.gaussian_model.width_at(reading) / packet.velocity
         t_star = reading / packet.velocity
-        cfg = EvolutionConfig(step=1e-2, t_min=t_star - 6.2 * w_t,
+        cfg = EvolutionConfig(t_min=t_star - 6.2 * w_t,
                               t_max=t_star + 6.2 * w_t, n_points=3001)
         query = ConditionalQuery(observable=obs, o_center=o_center,
                                  o_halfwidth=o_halfwidth, t_center=reading,
@@ -240,7 +233,7 @@ def test_criterion_06_smearing_characteristic_function():
     for width in (0.1, 0.5, 1.0):
         for omega in (1.0, 3.0):
             reading = 2.0
-            cfg = EvolutionConfig(step=1e-2, t_min=reading - 8 * width,
+            cfg = EvolutionConfig(t_min=reading - 8 * width,
                                   t_max=reading + 8 * width, n_points=2001)
             smeared = smear_density(plus_state(), qubit_hamiltonian(omega),
                                     GaussianClock(width=width), reading, cfg)
@@ -301,10 +294,10 @@ def test_criterion_09_stepper_order():
     errors = []
     for h in (4e-3, 2e-3, 1e-3, 5e-4):
         traj = evolve_master(plus_state(), qubit_hamiltonian(5.0),
-                             constant_width_growth(0.2), 2.0, grid_cfg(h))
+                             constant_width_growth(0.2), 2.0, h)
         errors.append(max(
-            abs(state.matrix[1, 0] - analytic_offdiagonal(0.5, 5.0, 0.2, t))
-            for t, state in traj
+            abs(m[1, 0] - analytic_offdiagonal(0.5, 5.0, 0.2, t))
+            for t, m in zip(traj.times, traj.states)
         ))
     ratios = [a / b for a, b in zip(errors, errors[1:])]
     ok = all(r >= 12.8 for r in ratios)

@@ -111,6 +111,30 @@ class TestEvolveCommand:
         assert override.split("=")[0] in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_nan_width_growth_rate_names_the_reading(self, tmp_path, capsys):
+        # finite coefficients whose rate overflows to inf - inf
+        cfg = write_config(tmp_path, "c.json", EVOLVE_DOC)
+        out = tmp_path / "o.csv"
+        clock = '{"kind": "expansion", "b_poly": [0, 0, 1e308, -1e308]}'
+        assert run_cli("evolve", "--config", cfg, "--out", str(out), "--set", f"clock={clock}") == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: width-growth rate must be nonnegative, got nan at T=0.0005\n")
+        assert not out.exists()
+
+    def test_unused_malformed_grid_is_ignored(self, tmp_path):
+        plain, with_grid = tmp_path / "plain.csv", tmp_path / "grid.csv"
+        doc = dict(EVOLVE_DOC, evolution=dict(EVOLVE_DOC["evolution"],
+                                              grid={"t_min": 1.0, "t_max": 1.0, "n_points": 3}))
+        assert run_cli("evolve", "--config", write_config(tmp_path, "a.json", EVOLVE_DOC),
+                       "--out", str(plain)) == 0
+        assert run_cli("evolve", "--config", write_config(tmp_path, "b.json", doc),
+                       "--out", str(with_grid)) == 0
+        # the files differ only in the embedded config line
+        plain_lines = plain.read_bytes().split(b"\n")
+        grid_lines = with_grid.read_bytes().split(b"\n")
+        assert plain_lines[1].startswith(b"# config: ") and grid_lines[1].startswith(b"# config: ")
+        assert plain_lines[:1] + plain_lines[2:] == grid_lines[:1] + grid_lines[2:]
+
     def test_set_override(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", EVOLVE_DOC)
         out = tmp_path / "o.csv"
@@ -237,6 +261,20 @@ class TestCondprobCommand:
         assert code == 2
         assert ("config key 'condprob.observable': dimension 3 does not match system 2"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("t_min, t_max", [(5.0, 5.0), (5.0, -5.0)])
+    def test_empty_grid_is_config_error(self, tmp_path, capsys, t_min, t_max):
+        cfg = str(Path(__file__).resolve().parents[1] / "configs" / "condprob_analytic.json")
+        out = tmp_path / "o.csv"
+        code = run_cli("condprob", "--config", cfg, "--out", str(out),
+                       "--set", f"evolution.grid.t_min={t_min}",
+                       "--set", f"evolution.grid.t_max={t_max}")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: config key 'evolution.grid': grid requires "
+                       f"t_min < t_max, got [{t_min}, {t_max}]\n")
         assert not out.exists()
 
 

@@ -7,9 +7,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from realclock_qm import (
-    DELTA,
     ClockDomainError,
-    DeltaFlag,
     ExpansionClock,
     FundamentalLimitClock,
     GaussianClock,
@@ -48,37 +46,24 @@ class TestPdf:
             assert abs(mass - 1.0) <= 1e-8
 
     def test_normalized_with_peak_map(self):
-        clock = GaussianClock(
-            width=0.8,
-            peak_map=lambda t: 0.25 * np.asarray(t, dtype=float),
-            peak_rate=lambda t: np.full_like(np.asarray(t, dtype=float), 0.25),
-        )
+        # peak map t -> 0.25 t; its rate is the Jacobian of the density
+        clock = GaussianClock(width=0.8, rate=0.25)
         mass, _ = quad(lambda t: float(pdf(clock, 1.0, t)), -80.0, 90.0, epsabs=1e-12)
         assert abs(mass - 1.0) <= 1e-8
-
-    def test_peak_map_numeric_rate_fallback(self):
-        explicit = GaussianClock(
-            width=0.8,
-            peak_map=lambda t: 0.25 * np.asarray(t, dtype=float),
-            peak_rate=lambda t: np.full_like(np.asarray(t, dtype=float), 0.25),
-        )
-        numeric = GaussianClock(width=0.8, peak_map=lambda t: 0.25 * np.asarray(t, dtype=float))
-        assert pdf(numeric, 1.0, 3.0) == pytest.approx(pdf(explicit, 1.0, 3.0), rel=1e-9)
+        assert pdf(clock, 1.0, 3.0) == pytest.approx(
+            0.25 * math.exp(-0.5 * (0.25 / 0.8) ** 2) / (math.sqrt(2 * math.pi) * 0.8))
 
     def test_decreasing_peak_map_rejected(self):
-        clock = GaussianClock(width=1.0, peak_map=lambda t: -np.asarray(t, dtype=float))
-        with pytest.raises(ValidationError, match="increasing"):
-            pdf(clock, 0.0, 1.0)
-
-    def test_ideal_returns_delta_flag(self):
-        assert isinstance(pdf(IdealClock(), 1.0, 2.0), DeltaFlag)
-        assert pdf(IdealClock(), 1.0, 2.0) is DELTA
+        for rate in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="rate must be positive and finite"):
+                GaussianClock(width=1.0, rate=rate)
 
     def test_unsupported_kinds_raise(self):
-        with pytest.raises(UnsupportedClockKindError):
-            pdf(constant_width_growth(0.1), 0.0, 0.0)
-        with pytest.raises(UnsupportedClockKindError):
-            pdf(FundamentalLimitClock(t_planck=1.0, t_max=2.0), 0.0, 0.0)
+        for clock in (IdealClock(), constant_width_growth(0.1),
+                      FundamentalLimitClock(t_planck=1.0, t_max=2.0)):
+            with pytest.raises(UnsupportedClockKindError,
+                               match=f"Gaussian clocks, not {type(clock).__name__}$"):
+                pdf(clock, 0.0, 0.0)
 
     def test_vectorized_over_t(self):
         clock = GaussianClock(width=1.0)
@@ -117,10 +102,6 @@ class TestSigma:
             sigma(clock, 2.0)
         with pytest.raises(ClockDomainError):
             sigma(clock, 3.0)
-
-    def test_finite_difference_fallback(self):
-        clock = ExpansionClock(b=lambda T: 0.05 * T * T)
-        assert sigma(clock, 3.0) == pytest.approx(0.3, rel=1e-7)
 
     def test_unsupported_kind(self):
         with pytest.raises(UnsupportedClockKindError):
@@ -184,10 +165,9 @@ class TestIntegratedSigma:
 
 @pytest.mark.parametrize("clock", [
     ExpansionClock(b=lambda T: 0.1 * T + 0.02 * T**2, b_rate=lambda T: 0.1 + 0.04 * T),
-    ExpansionClock(b=lambda T: 0.1 * T + 0.02 * T**2),
     build_clock({"kind": "expansion", "b_poly": [0.0, 0.3, 0.05, -0.002]}),
     FundamentalLimitClock(t_planck=0.1, t_max=11.0),
-], ids=["b_rate", "finite_difference", "b_poly", "fundamental"])
+], ids=["b_rate", "b_poly", "fundamental"])
 def test_sigma_over_an_array_equals_the_scalar_calls(clock, rng):
     readings = np.concatenate([[0.0], rng.uniform(0.0, 10.0, size=200)])
     values = sigma(clock, readings)
@@ -206,6 +186,17 @@ def test_sigma_over_an_array_names_the_first_negative_rate():
     with pytest.raises(ValidationError,
                        match=r"^width-growth rate must be nonnegative, got -1\.000e-03 at T=0\.505$"):
         sigma(clock, readings)
+
+
+def test_sigma_names_the_first_nan_rate():
+    clock = ExpansionClock(b=lambda T: 0.1 * T, b_rate=lambda T: 0.1 if T < 0.01 else math.nan)
+    with pytest.raises(ValidationError,
+                       match=r"^width-growth rate must be nonnegative, got nan at T=0\.015$"):
+        sigma(clock, np.array([0.005, 0.015, 0.025]))
+    # b_poly [0, 0, 1e308, -1e308] has finite entries, but its rate overflows to inf - inf
+    clock = build_clock({"kind": "expansion", "b_poly": [0.0, 0.0, 1e308, -1e308]})
+    with pytest.raises(ValidationError, match=r"got nan at T=0\.005$"):
+        sigma(clock, 0.005)
 
 
 def test_sigma_over_an_array_names_the_first_reading_past_the_horizon():

@@ -10,6 +10,8 @@ from realclock_qm import (
     GaussianClock,
     GridConvergenceError,
     HermitianOperator,
+    IdealClock,
+    UnsupportedClockKindError,
     ValidationError,
     build_projector,
     conditional_probabilities,
@@ -31,7 +33,7 @@ OBS_X = HermitianOperator(PAULI_X)
 
 
 def analytic_cfg(reading, width, points=1601):
-    return EvolutionConfig(step=1e-2, t_min=reading - 8 * width, t_max=reading + 8 * width,
+    return EvolutionConfig(t_min=reading - 8 * width, t_max=reading + 8 * width,
                            n_points=points)
 
 
@@ -96,7 +98,7 @@ class TestAnalyticRoute:
 
     def test_grid_convergence_error_on_truncated_support(self):
         clock = GaussianClock(width=2.0)
-        cfg = EvolutionConfig(step=1e-2, t_min=2.0, t_max=5.0, n_points=301)
+        cfg = EvolutionConfig(t_min=2.0, t_max=5.0, n_points=301)
         with pytest.raises(GridConvergenceError):
             conditional_probability_analytic(clock, plus_state(), qubit_hamiltonian(1.0),
                                              query_x(3.5), cfg)
@@ -104,10 +106,15 @@ class TestAnalyticRoute:
     def test_window_never_read_on_base_grid(self):
         # the density underflows to zero on the base grid, not on the doubled one
         clock = GaussianClock(width=0.01)
-        cfg = EvolutionConfig(step=1e-2, t_min=0.0, t_max=1.0, n_points=101)
+        cfg = EvolutionConfig(t_min=0.0, t_max=1.0, n_points=101)
         with pytest.raises(GridConvergenceError, match="base grid"):
             conditional_probability_analytic(clock, plus_state(), qubit_hamiltonian(1.0),
                                              query_x(1.4), cfg)
+
+    def test_ideal_clock_is_unsupported(self):
+        with pytest.raises(UnsupportedClockKindError, match="Gaussian clocks, not IdealClock"):
+            conditional_probabilities_analytic(IdealClock(), plus_state(), qubit_hamiltonian(1.0),
+                                               [query_x(2.0)], analytic_cfg(2.0, 0.7))
 
     def test_batch_equals_single_queries(self, rng):
         clock = GaussianClock(width=0.8)
@@ -133,7 +140,7 @@ class TestQuantumRoute:
     def _cfg(self, packet, reading, coverage=6.2, points=3001):
         w_t = packet.gaussian_model.width_at(reading) / packet.velocity
         t_star = reading / packet.velocity
-        return EvolutionConfig(step=1e-2, t_min=t_star - coverage * w_t,
+        return EvolutionConfig(t_min=t_star - coverage * w_t,
                                t_max=t_star + coverage * w_t, n_points=points)
 
     def _site_query(self, packet, target, **kwargs):
@@ -169,7 +176,7 @@ class TestQuantumRoute:
         # grid reaching past the periodic wrap of the packet
         query, reading = self._site_query(packet, 8.0)
         t_star = reading / packet.velocity
-        cfg = EvolutionConfig(step=1e-2, t_min=t_star - 40.0, t_max=t_star + 400.0,
+        cfg = EvolutionConfig(t_min=t_star - 40.0, t_max=t_star + 400.0,
                               n_points=4001)
         with pytest.raises(ClockFoldingError):
             conditional_probability(packet.rho, plus_state(), packet.hamiltonian,
@@ -211,7 +218,7 @@ class TestQuantumRoute:
     ])
     def test_clock_folding_names_grid(self, packet, label, t_lo, t_hi):
         query, _ = self._site_query(packet, 8.0)
-        cfg = EvolutionConfig(step=1e-2, t_min=t_lo, t_max=t_hi, n_points=1201)
+        cfg = EvolutionConfig(t_min=t_lo, t_max=t_hi, n_points=1201)
         with pytest.raises(ClockFoldingError, match=f"over the {label} grid"):
             conditional_probability(packet.rho, plus_state(), packet.hamiltonian,
                                     qubit_hamiltonian(0.15), query, cfg)
@@ -235,7 +242,7 @@ class TestQuantumRoute:
 
 @pytest.mark.parametrize("n_points", [3, 4, 101, 1003])
 def test_doubled_grid_holds_base_grid(n_points):
-    cfg = EvolutionConfig(step=1e-2, t_min=-1.3, t_max=2.9, n_points=n_points)
+    cfg = EvolutionConfig(t_min=-1.3, t_max=2.9, n_points=n_points)
     t, base = _doubled_grid(cfg)
     assert t[0] == pytest.approx(-3.4) and t[-1] == pytest.approx(5.0)
     assert np.max(np.abs(t[base] - cfg.grid())) <= 1e-12

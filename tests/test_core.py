@@ -13,6 +13,7 @@ from realclock_qm import (
     eigendecompose,
     unitary_evolve,
 )
+from realclock_qm.core import _require_density_stack
 from helpers import PAULI_X, plus_state, qubit_hamiltonian, random_density, random_hermitian
 
 
@@ -139,19 +140,8 @@ def _raised(build, matrix):
 
 
 class TestDensityStack:
-    """DensityMatrix.stack checks a stack in one pass and must accept and
+    """_require_density_stack checks a stack in one pass and must accept and
     reject exactly what one DensityMatrix per matrix would."""
-
-    def test_clean_stacks_pass_as_read_only_states(self, rng):
-        for d in range(2, 17):
-            stack = _density_stack(rng, 7, d)
-            states = DensityMatrix.stack(stack)
-            assert len(states) == 7
-            for state, m in zip(states, stack):
-                assert isinstance(state, DensityMatrix)
-                assert state.dim == d
-                assert not state.matrix.flags.writeable
-                assert np.array_equal(state.matrix, m)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("plant", [_hermitian_defect, _trace_defect, _negative_eigenvalue,
@@ -160,9 +150,10 @@ class TestDensityStack:
     def test_planted_defect_raises_the_scalar_error(self, plant, rng):
         for d in range(2, 17):
             stack = _density_stack(rng, 7, d)
+            assert _require_density_stack(stack) is None
             k = int(rng.integers(len(stack)))
             plant(stack[k], rng)
-            batched = _raised(DensityMatrix.stack, stack)
+            batched = _raised(_require_density_stack, stack)
             scalar = _raised(DensityMatrix, stack[k])
             assert type(batched) is type(scalar)
             assert str(batched) == str(scalar)
@@ -177,13 +168,9 @@ class TestDensityStack:
         stack = _density_stack(rng, 9, 3)
         first(stack[3], rng)
         second(stack[6], rng)
-        batched = _raised(DensityMatrix.stack, stack)
+        batched = _raised(_require_density_stack, stack)
         assert str(batched) == str(_raised(DensityMatrix, stack[3]))
         assert batched.index == 3
-
-    def test_stack_shape_checked(self):
-        with pytest.raises(ValidationError, match="square"):
-            DensityMatrix.stack(np.eye(2))
 
 
 class TestEigendecompose:

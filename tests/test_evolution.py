@@ -33,6 +33,7 @@ from realclock_qm import (
     unitary_evolve,
 )
 from realclock_qm.clocks import ExpansionClock, pdf, sigma
+from realclock_qm.config import build_clock
 from realclock_qm import evolution
 from realclock_qm.evolution import _simpson_weights
 from helpers import plus_state, qubit_hamiltonian, random_density, random_hermitian
@@ -40,8 +41,8 @@ from helpers import plus_state, qubit_hamiltonian, random_density, random_hermit
 QUBIT = qubit_hamiltonian(1.0)
 
 
-def default_cfg(step=1e-2):
-    return EvolutionConfig(step=step, t_min=-10.0, t_max=10.0, n_points=1601)
+def default_cfg():
+    return EvolutionConfig(t_min=-10.0, t_max=10.0, n_points=1601)
 
 
 class TestSmearDensity:
@@ -55,7 +56,7 @@ class TestSmearDensity:
     def test_zero_hamiltonian_leaves_state(self, rng):
         rho = random_density(rng, 2)
         h = HermitianOperator(np.zeros((2, 2)))
-        cfg = EvolutionConfig(step=1e-2, t_min=-8.0, t_max=12.0, n_points=801)
+        cfg = EvolutionConfig(t_min=-8.0, t_max=12.0, n_points=801)
         smeared = smear_density(rho, h, GaussianClock(width=1.0), 2.0, cfg)
         assert np.max(np.abs(smeared.matrix - rho.matrix)) <= 1e-10
 
@@ -63,7 +64,7 @@ class TestSmearDensity:
         # oracle: adaptive quadrature of the phase average under the normal weight
         omega, w, reading = 1.3, 0.7, 1.5
         clock = GaussianClock(width=w)
-        cfg = EvolutionConfig(step=1e-2, t_min=reading - 9 * w, t_max=reading + 9 * w,
+        cfg = EvolutionConfig(t_min=reading - 9 * w, t_max=reading + 9 * w,
                               n_points=1201)
         smeared = smear_density(plus_state(), qubit_hamiltonian(omega), clock, reading, cfg)
 
@@ -82,13 +83,13 @@ class TestSmearDensity:
     def test_trace_identity(self, rng):
         rho = random_density(rng, 4)
         h = random_hermitian(rng, 4, norm=1.2)
-        cfg = EvolutionConfig(step=1e-2, t_min=-9.0, t_max=13.0, n_points=1601)
+        cfg = EvolutionConfig(t_min=-9.0, t_max=13.0, n_points=1601)
         smeared = smear_density(rho, h, GaussianClock(width=1.1), 2.0, cfg)
         assert np.trace(smeared.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_insufficient_grid_rejected(self):
         clock = GaussianClock(width=1.0)
-        cfg = EvolutionConfig(step=1e-2, t_min=-1.0, t_max=1.0, n_points=201)
+        cfg = EvolutionConfig(t_min=-1.0, t_max=1.0, n_points=201)
         with pytest.raises(InsufficientGridError):
             smear_density(plus_state(), QUBIT, clock, 3.0, cfg)
 
@@ -105,7 +106,7 @@ class TestSmearDensities:
         h = random_hermitian(rng, 5, norm=1.5)
         # the last reading sits near the grid's end: its clock weight is ~1 - 5e-4
         readings = [-1.0, 0.5, 2.0, 2.25, 8.0]
-        cfg = EvolutionConfig(step=1e-2, t_min=-9.0, t_max=11.0, n_points=2001, quad_tol=1e-3)
+        cfg = EvolutionConfig(t_min=-9.0, t_max=11.0, n_points=2001, quad_tol=1e-3)
         batch = smear_densities(rho, h, clock, readings, cfg)
         assert len(batch) == len(readings)
         for reading, state in zip(readings, batch):
@@ -113,7 +114,7 @@ class TestSmearDensities:
             assert np.max(np.abs(state.matrix - single.matrix)) <= 1e-14
 
     def test_one_reading_off_the_grid_is_rejected(self):
-        cfg = EvolutionConfig(step=1e-2, t_min=-8.0, t_max=9.0, n_points=1701)
+        cfg = EvolutionConfig(t_min=-8.0, t_max=9.0, n_points=1701)
         clock = GaussianClock(width=1.0)
         assert len(smear_densities(plus_state(), QUBIT, clock, [0.0, 1.0], cfg)) == 2
         with pytest.raises(InsufficientGridError, match="clock weight"):
@@ -122,7 +123,7 @@ class TestSmearDensities:
     def test_coarse_grid_is_rejected_for_any_reading(self):
         # a narrow clock at the second reading is not resolved by the grid
         clock = GaussianClock(width=lambda reading: 1.0 if reading < 1.0 else 0.5)
-        cfg = EvolutionConfig(step=1e-2, t_min=-6.0, t_max=8.0, n_points=101)
+        cfg = EvolutionConfig(t_min=-6.0, t_max=8.0, n_points=101)
         assert len(smear_densities(plus_state(), QUBIT, clock, [0.0], cfg)) == 1
         with pytest.raises(InsufficientGridError, match="too coarse"):
             smear_densities(plus_state(), QUBIT, clock, [0.0, 2.0], cfg)
@@ -154,7 +155,7 @@ def test_gemm_smearing_matches_einsum_stack(n_points):
     rho = random_density(rng, 16)
     h = random_hermitian(rng, 16, norm=1.0)
     clock = GaussianClock(width=1.0)
-    cfg = EvolutionConfig(step=1e-2, t_min=-7.0, t_max=11.0, n_points=n_points)
+    cfg = EvolutionConfig(t_min=-7.0, t_max=11.0, n_points=n_points)
     smeared = smear_density(rho, h, clock, 2.0, cfg)
     reference = einsum_stack_smear(rho, h, clock, 2.0, cfg)
     assert np.max(np.abs(smeared.matrix - reference)) <= 1e-12
@@ -237,36 +238,34 @@ class TestMasterStep:
 class TestEvolveMaster:
     def test_sigma_zero_diagonal_state_constant(self):
         rho = DensityMatrix(np.diag([0.3, 0.7]))
-        traj = evolve_master(rho, QUBIT, constant_width_growth(0.0), 2.0, default_cfg())
-        for _, state in traj:
-            assert np.max(np.abs(state.matrix - rho.matrix)) <= 1e-12
+        traj = evolve_master(rho, QUBIT, constant_width_growth(0.0), 2.0, 1e-2)
+        for m in traj.states:
+            assert np.max(np.abs(m - rho.matrix)) <= 1e-12
 
     def test_endpoints_present(self):
-        traj = evolve_master(plus_state(), QUBIT, constant_width_growth(0.1), 1.5,
-                             default_cfg(step=1e-2))
-        assert traj[0][0] == 0.0
-        assert traj[-1][0] == 1.5
+        traj = evolve_master(plus_state(), QUBIT, constant_width_growth(0.1), 1.5, 1e-2)
+        assert traj.times[0] == 0.0
+        assert traj.times[-1] == 1.5
 
     def test_constant_sigma_modulus_decay(self):
-        traj = evolve_master(plus_state(), QUBIT, constant_width_growth(0.25), 3.0,
-                             default_cfg(step=1e-3))
-        for T, state in traj:
-            assert abs(abs(state.matrix[0, 1]) - 0.5 * math.exp(-0.25 * T)) <= 1e-8
+        traj = evolve_master(plus_state(), QUBIT, constant_width_growth(0.25), 3.0, 1e-3)
+        for T, m in zip(traj.times, traj.states):
+            assert abs(abs(m[0, 1]) - 0.5 * math.exp(-0.25 * T)) <= 1e-8
 
     def test_time_dependent_sigma_against_exponent_integral(self):
         # sigma(T) = 0.1 + 0.1 T: exponent integral is 0.1 T + 0.05 T^2
         clock = ExpansionClock(b=lambda T: 0.1 * T + 0.05 * T * T,
                                b_rate=lambda T: 0.1 + 0.1 * T)
-        traj = evolve_master(plus_state(), QUBIT, clock, 2.0, default_cfg(step=1e-3))
-        T, state = traj[-1]
+        traj = evolve_master(plus_state(), QUBIT, clock, 2.0, 1e-3)
+        T = traj.times[-1]
         expected = 0.5 * math.exp(-(0.1 * T + 0.05 * T * T))
-        assert abs(state.matrix[0, 1]) == pytest.approx(expected, abs=1e-7)
+        assert abs(traj.states[-1, 0, 1]) == pytest.approx(expected, abs=1e-7)
 
     def test_fundamental_limit_endpoint(self):
         clock = FundamentalLimitClock(t_planck=1e-2, t_max=20.0)
         h = qubit_hamiltonian(2.0)
-        traj = evolve_master(plus_state(), h, clock, 8.0, default_cfg(step=1e-2))
-        ratio = abs(traj[-1][1].matrix[0, 1]) / 0.5
+        traj = evolve_master(plus_state(), h, clock, 8.0, 1e-2)
+        ratio = abs(traj.states[-1, 0, 1]) / 0.5
         # oracle: arbitrary-precision exp(-4 * (1e-2)^(4/3) * 8^(2/3))
         oracle = float(mpmath.exp(-4 * mpmath.mpf("0.01") ** mpmath.mpf("4/3")
                                   * mpmath.mpf(8) ** mpmath.mpf("2/3")))
@@ -275,15 +274,15 @@ class TestEvolveMaster:
     def test_fundamental_limit_horizon_enforced(self):
         clock = FundamentalLimitClock(t_planck=1e-2, t_max=5.0)
         with pytest.raises(ValidationError, match="horizon"):
-            evolve_master(plus_state(), QUBIT, clock, 5.0, default_cfg())
+            evolve_master(plus_state(), QUBIT, clock, 5.0, 1e-2)
 
     def test_ideal_clock_runs_unitary(self):
-        traj = evolve_master(plus_state(), QUBIT, IdealClock(), 1.0, default_cfg(step=1e-3))
-        assert abs(traj[-1][1].matrix[0, 1]) == pytest.approx(0.5, abs=1e-10)
+        traj = evolve_master(plus_state(), QUBIT, IdealClock(), 1.0, 1e-3)
+        assert abs(traj.states[-1, 0, 1]) == pytest.approx(0.5, abs=1e-10)
 
     def test_gaussian_clock_unsupported(self):
         with pytest.raises(UnsupportedClockKindError):
-            evolve_master(plus_state(), QUBIT, GaussianClock(width=1.0), 1.0, default_cfg())
+            evolve_master(plus_state(), QUBIT, GaussianClock(width=1.0), 1.0, 1e-2)
 
     def test_diagonal_entries_constant_in_energy_basis(self, rng):
         h = random_hermitian(rng, 4, norm=1.5)
@@ -291,9 +290,9 @@ class TestEvolveMaster:
         dec = eigendecompose(h)
         v = dec.eigenvectors
         diag0 = np.real(np.diag(v.conj().T @ rho.matrix @ v))
-        traj = evolve_master(rho, h, constant_width_growth(0.3), 2.0, default_cfg())
-        for _, state in traj:
-            diag = np.real(np.diag(v.conj().T @ state.matrix @ v))
+        traj = evolve_master(rho, h, constant_width_growth(0.3), 2.0, 1e-2)
+        for m in traj.states:
+            diag = np.real(np.diag(v.conj().T @ m @ v))
             assert np.max(np.abs(diag - diag0)) <= 1e-9
 
     def test_monotone_decoherence_and_purity(self, rng):
@@ -301,12 +300,12 @@ class TestEvolveMaster:
         rho = random_density(rng, 3)
         dec = eigendecompose(h)
         v = dec.eigenvectors
-        traj = evolve_master(rho, h, constant_width_growth(0.2), 2.0, default_cfg())
+        traj = evolve_master(rho, h, constant_width_growth(0.2), 2.0, 1e-2)
         prev_abs = None
         prev_purity = None
-        for _, state in traj:
-            eig = np.abs(v.conj().T @ state.matrix @ v)
-            purity = state.purity()
+        for m in traj.states:
+            eig = np.abs(v.conj().T @ m @ v)
+            purity = DensityMatrix(m).purity()
             if prev_abs is not None:
                 assert np.all(eig <= prev_abs + 1e-10)
                 assert purity <= prev_purity + 1e-9
@@ -315,20 +314,19 @@ class TestEvolveMaster:
     def test_purity_constant_when_unitary(self, rng):
         rho = random_density(rng, 3)
         h = random_hermitian(rng, 3, norm=1.0)
-        traj = evolve_master(rho, h, constant_width_growth(0.0), 2.0, default_cfg(step=1e-3))
+        traj = evolve_master(rho, h, constant_width_growth(0.0), 2.0, 1e-3)
         p0 = rho.purity()
-        for _, state in traj:
-            assert abs(state.purity() - p0) <= 1e-9
+        for m in traj.states:
+            assert abs(DensityMatrix(m).purity() - p0) <= 1e-9
 
     def test_stepper_is_fourth_order(self):
         h_sys = qubit_hamiltonian(5.0)
         errors = []
         for step in (4e-3, 2e-3):
-            traj = evolve_master(plus_state(), h_sys, constant_width_growth(0.2), 2.0,
-                                 default_cfg(step=step))
+            traj = evolve_master(plus_state(), h_sys, constant_width_growth(0.2), 2.0, step)
             err = max(
-                abs(state.matrix[1, 0] - analytic_offdiagonal(0.5, 5.0, 0.2, T))
-                for T, state in traj
+                abs(m[1, 0] - analytic_offdiagonal(0.5, 5.0, 0.2, T))
+                for T, m in zip(traj.times, traj.states)
             )
             errors.append(err)
         assert errors[0] / errors[1] >= 12.8
@@ -344,13 +342,13 @@ class TestEvolveMaster:
         s0, s1 = rng.uniform(0.1, 0.3, size=2)
         clock = ExpansionClock(b=lambda T: s0 * T + 0.5 * s1 * T * T,
                                b_rate=lambda T: s0 + s1 * T)
-        traj = evolve_master(rho, h, clock, 1.0, default_cfg(step=1e-2))
-        assert len(traj) == 101
+        traj = evolve_master(rho, h, clock, 1.0, 1e-2)
+        assert len(traj.times) == 101
         state = rho
-        for (t0, _), (t1, stepped) in zip(traj, traj[1:]):
+        for t0, t1, stepped in zip(traj.times, traj.times[1:], traj.states[1:]):
             mid = 0.5 * (t0 + t1)
             state = master_step(state, h, sigma(clock, mid), t1 - t0)
-            assert np.max(np.abs(stepped.matrix - state.matrix)) <= 1e-12
+            assert np.max(np.abs(stepped - state.matrix)) <= 1e-12
 
     @pytest.mark.parametrize("clock", [
         constant_width_growth(0.5),
@@ -359,23 +357,21 @@ class TestEvolveMaster:
     ], ids=["constant", "late"])
     def test_stiff_expansion_clock_rejected(self, clock):
         with pytest.raises(ValidationError, match="step too large"):
-            evolve_master(plus_state(), qubit_hamiltonian(10.0), clock, 2.0,
-                          default_cfg(step=5e-3))
+            evolve_master(plus_state(), qubit_hamiltonian(10.0), clock, 2.0, 5e-3)
 
     def test_ideal_clock_equals_unitary_evolve_at_every_time(self, rng):
         h = random_hermitian(rng, 4, norm=2.0)
         rho = random_density(rng, 4)
-        traj = evolve_master(rho, h, IdealClock(), 3.0, default_cfg(step=0.05))
-        assert len(traj) == 61
-        for T, state in traj:
-            assert np.max(np.abs(state.matrix - unitary_evolve(rho, h, T).matrix)) <= 1e-12
+        traj = evolve_master(rho, h, IdealClock(), 3.0, 0.05)
+        assert len(traj.times) == 61
+        for T, m in zip(traj.times, traj.states):
+            assert np.max(np.abs(m - unitary_evolve(rho, h, T).matrix)) <= 1e-12
 
     def test_ideal_clock_accepts_large_steps(self):
         # the closed form has no stability limit, unlike the RK4 route
-        traj = evolve_master(plus_state(), qubit_hamiltonian(10.0), IdealClock(), 2.0,
-                             default_cfg(step=0.5))
-        assert [T for T, _ in traj] == [0.0, 0.5, 1.0, 1.5, 2.0]
-        assert traj[-1][1].matrix[1, 0] == pytest.approx(0.5 * np.exp(-20j), abs=1e-12)
+        traj = evolve_master(plus_state(), qubit_hamiltonian(10.0), IdealClock(), 2.0, 0.5)
+        assert traj.times.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert traj.states[-1, 1, 0] == pytest.approx(0.5 * np.exp(-20j), abs=1e-12)
 
     def test_fundamental_route_matches_decay_factor_at_every_sample(self, rng):
         h = random_hermitian(rng, 3, norm=2.0)
@@ -384,10 +380,10 @@ class TestEvolveMaster:
         dec = eigendecompose(h)
         v, bohr = dec.eigenvectors, dec.bohr_frequencies
         rho_eig0 = v.conj().T @ rho.matrix @ v
-        traj = evolve_master(rho, h, clock, 6.0, default_cfg(step=0.1))
-        assert len(traj) == 61
-        for T, state in traj:
-            rho_eig = v.conj().T @ state.matrix @ v
+        traj = evolve_master(rho, h, clock, 6.0, 0.1)
+        assert len(traj.times) == 61
+        for T, m in zip(traj.times, traj.states):
+            rho_eig = v.conj().T @ m @ v
             for n in range(3):
                 for m in range(3):
                     expected = (rho_eig0[n, m] * np.exp(-1j * bohr[n, m] * T)
@@ -396,65 +392,33 @@ class TestEvolveMaster:
 
 
 class TestTrajectory:
-    """evolve_master returns its validated stack as arrays; the sequence of
-    (t, DensityMatrix) pairs is built from the rows on access."""
+    """evolve_master returns its times and its validated stack of states as
+    read-only arrays."""
 
-    @pytest.fixture
-    def traj(self, rng):
-        return evolve_master(random_density(rng, 3), random_hermitian(rng, 3, norm=0.5),
-                             constant_width_growth(0.2), 0.5, default_cfg(step=0.1))
-
-    @staticmethod
-    def assert_pair(pair, t, m):
-        assert isinstance(pair[0], float) and pair[0] == t
-        assert isinstance(pair[1], DensityMatrix)
-        assert np.array_equal(pair[1].matrix, DensityMatrix(m).matrix)
-        assert not pair[1].matrix.flags.writeable
-
-    def test_arrays_are_read_only(self, traj):
+    def test_arrays_are_read_only(self, rng):
+        traj = evolve_master(random_density(rng, 3), random_hermitian(rng, 3, norm=0.5),
+                             constant_width_growth(0.2), 0.5, 0.1)
         assert traj.times.shape == (6,) and traj.states.shape == (6, 3, 3)
         assert not traj.times.flags.writeable
         assert not traj.states.flags.writeable
-
-    def test_length_indexing_and_iteration(self, traj):
-        assert len(traj) == 6
-        for k in range(6):
-            self.assert_pair(traj[k], traj.times[k], traj.states[k])
-            self.assert_pair(traj[k - 6], traj.times[k], traj.states[k])
-        pairs = list(traj)
-        assert len(pairs) == 6
-        for pair, t, m in zip(pairs, traj.times, traj.states):
-            self.assert_pair(pair, t, m)
-        with pytest.raises(IndexError):
-            traj[6]
-
-    def test_slices_give_lists(self, traj):
-        for index in (slice(None), slice(1, None), slice(None, None, 2), slice(-2, None),
-                      slice(None, None, -1), slice(4, 1)):
-            part = traj[index]
-            assert isinstance(part, list)
-            rows = range(6)[index]
-            assert len(part) == len(rows)
-            for pair, k in zip(part, rows):
-                self.assert_pair(pair, traj.times[k], traj.states[k])
+        for m in traj.states:
+            DensityMatrix(m)
 
     def test_first_row_is_the_initial_state(self, rng):
         rho = random_density(rng, 3)
-        traj = evolve_master(rho, random_hermitian(rng, 3, norm=1.0), IdealClock(), 1.0,
-                             default_cfg(step=0.1))
+        traj = evolve_master(rho, random_hermitian(rng, 3, norm=1.0), IdealClock(), 1.0, 0.1)
         assert np.array_equal(traj.states[0], rho.matrix)
         assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
 
     def test_zero_duration_holds_the_initial_state(self, rng):
         rho = random_density(rng, 3)
         traj = evolve_master(rho, random_hermitian(rng, 3, norm=1.0),
-                             constant_width_growth(0.2), 0.0, default_cfg())
-        assert len(traj) == 1
+                             constant_width_growth(0.2), 0.0, 1e-2)
         assert traj.times.tolist() == [0.0]
+        assert traj.states.shape == (1, 3, 3)
         assert np.array_equal(traj.states[0], rho.matrix)
+        assert not traj.times.flags.writeable
         assert not traj.states.flags.writeable
-        self.assert_pair(traj[0], 0.0, rho.matrix)
-        self.assert_pair(traj[-1], 0.0, rho.matrix)
 
 
 def test_trajectory_builds_no_state_and_calls_the_rate_once_per_step(monkeypatch):
@@ -471,8 +435,8 @@ def test_trajectory_builds_no_state_and_calls_the_rate_once_per_step(monkeypatch
 
     rho0, clock = plus_state(), ExpansionClock(b=lambda T: 0.25 * T, b_rate=rate)
     monkeypatch.setattr(DensityMatrix, "__post_init__", counting_post_init)
-    traj = evolve_master(rho0, QUBIT, clock, 10.0, default_cfg(step=1e-3))
-    assert len(traj) == 10_001
+    traj = evolve_master(rho0, QUBIT, clock, 10.0, 1e-3)
+    assert len(traj.times) == 10_001
     assert len(states) == 0
     assert len(rates) == 10_000
 
@@ -531,8 +495,7 @@ class TestConservation:
     def test_hamiltonian_is_conserved(self, rng):
         h = random_hermitian(rng, 4, norm=1.5)
         rho = random_density(rng, 4)
-        report = despagnat_conservation(h, h, rho, constant_width_growth(0.3), 2.0,
-                                        default_cfg())
+        report = despagnat_conservation(h, h, rho, constant_width_growth(0.3), 2.0, 1e-2)
         assert report.conserved
         assert report.spread <= 1e-9
 
@@ -541,7 +504,7 @@ class TestConservation:
         rho = random_density(rng, 3)
         identity = HermitianOperator(np.eye(3))
         report = despagnat_conservation(identity, h, rho, constant_width_growth(0.3), 2.0,
-                                        default_cfg())
+                                        1e-2)
         assert report.conserved
         assert report.samples[0][1] == pytest.approx(1.0, abs=1e-12)
 
@@ -553,11 +516,11 @@ class TestConservation:
         c = coeffs[0] * np.eye(4) + coeffs[1] * m + coeffs[2] * m @ m + coeffs[3] * m @ m @ m
         observable = HermitianOperator(c)
         report = despagnat_conservation(observable, h, rho, constant_width_growth(0.3), 5.0,
-                                        default_cfg())
+                                        1e-2)
         assert report.conserved
         # cross-check one sample against the bare trajectory
-        traj = evolve_master(rho, h, constant_width_growth(0.3), 5.0, default_cfg())
-        direct = float(np.real(np.trace(c @ traj[-1][1].matrix)))
+        traj = evolve_master(rho, h, constant_width_growth(0.3), 5.0, 1e-2)
+        direct = float(np.real(np.trace(c @ traj.states[-1])))
         assert report.samples[-1][1] == pytest.approx(direct, abs=1e-12)
 
     def test_samples_match_per_state_trace(self, rng):
@@ -565,19 +528,19 @@ class TestConservation:
         rho = random_density(rng, 4)
         observable = HermitianOperator(h.matrix @ h.matrix - 0.3 * h.matrix)
         report = despagnat_conservation(observable, h, rho, constant_width_growth(0.3), 3.0,
-                                        default_cfg())
-        traj = evolve_master(rho, h, constant_width_growth(0.3), 3.0, default_cfg())
-        assert [t for t, _ in report.samples] == [t for t, _ in traj]
-        for (_, value), (_, state) in zip(report.samples, traj):
+                                        1e-2)
+        traj = evolve_master(rho, h, constant_width_growth(0.3), 3.0, 1e-2)
+        assert [t for t, _ in report.samples] == traj.times.tolist()
+        for (_, value), m in zip(report.samples, traj.states):
             assert isinstance(value, float)
-            assert abs(value - np.real(np.trace(observable.matrix @ state.matrix))) <= 1e-14
+            assert abs(value - np.real(np.trace(observable.matrix @ m))) <= 1e-14
 
     def test_noncommuting_rejected_with_norm(self, rng):
         h = qubit_hamiltonian(1.0)
         pauli_x = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(NonCommutingObservableError) as excinfo:
             despagnat_conservation(pauli_x, h, plus_state(), constant_width_growth(0.1),
-                                   1.0, default_cfg())
+                                   1.0, 1e-2)
         assert excinfo.value.commutator_norm == pytest.approx(1.0)
 
 
@@ -602,7 +565,7 @@ def test_integration_failure_names_the_first_invalid_output(monkeypatch):
     monkeypatch.setattr(evolution, "_rk4_factors", _growing_factors)
     rho0 = DensityMatrix(np.array([[0.5, 0.3], [0.3, 0.5]]))
     with pytest.raises(IntegrationFailureError, match="smaller step") as excinfo:
-        evolve_master(rho0, QUBIT, constant_width_growth(0.0), 2.0, default_cfg())
+        evolve_master(rho0, QUBIT, constant_width_growth(0.0), 2.0, 1e-2)
     # the same outputs, built as evolve_master builds them, checked one by one
     dec = eigendecompose(QUBIT)
     times = [k * 1e-2 for k in range(201)]
@@ -637,26 +600,50 @@ def test_trajectory_is_validated_by_one_eigvalsh_call(clock, t_final, step, monk
         return eigvalsh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    traj = evolve_master(rho0, QUBIT, clock, t_final, default_cfg(step))
+    traj = evolve_master(rho0, QUBIT, clock, t_final, step)
     n_out = round(t_final / step)
-    assert len(traj) == n_out + 1
+    assert len(traj.times) == n_out + 1
     assert calls == [(n_out, 2, 2)]
 
 
-@pytest.mark.parametrize("field", ["step", "t_min", "t_max", "quad_tol"])
+@pytest.mark.parametrize("field", ["t_min", "t_max", "quad_tol"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_evolution_config_rejects_non_finite(field, value):
-    params = dict(step=1e-2, t_min=-1.0, t_max=1.0, n_points=11, quad_tol=1e-8)
+    params = dict(t_min=-1.0, t_max=1.0, n_points=11, quad_tol=1e-8)
     params[field] = value
     with pytest.raises(ValidationError, match=f"{field} must be finite"):
         EvolutionConfig(**params)
 
 
+@pytest.mark.parametrize("step, message", [
+    (float("nan"), "step must be finite"), (float("inf"), "step must be finite"),
+    (0.0, "step must be positive"), (-1e-2, "step must be positive"),
+], ids=["nan", "inf", "zero", "negative"])
+def test_evolve_master_rejects_bad_step(step, message):
+    for clock in (IdealClock(), constant_width_growth(0.1)):
+        with pytest.raises(ValidationError, match=message):
+            evolve_master(plus_state(), QUBIT, clock, 1.0, step)
+
+
+def test_nan_rate_is_rejected_where_it_is_computed():
+    # finite coefficients whose rate overflows to inf - inf at every reading
+    clock = build_clock({"kind": "expansion", "b_poly": [0.0, 0.0, 1e308, -1e308]})
+    with pytest.raises(ValidationError, match=r"got nan at T=0\.005$") as excinfo:
+        evolve_master(plus_state(), QUBIT, clock, 1.0, 1e-2)
+    assert not isinstance(excinfo.value, IntegrationFailureError)
+    with pytest.raises(ValidationError, match="^sigma must be nonnegative, got nan$"):
+        master_step(plus_state(), QUBIT, float("nan"), 1e-3)
+    with pytest.raises(ValidationError, match="^step must be positive, got nan$"):
+        master_step(plus_state(), QUBIT, 0.1, float("nan"))
+    with pytest.raises(ValidationError, match="step too large"):
+        evolution._require_stable_step(1e-3, float("nan"), np.array([0.0, 1.0]))
+
+
 @pytest.mark.parametrize("route", [
     lambda rho, h: smear_density(rho, h, GaussianClock(width=0.5), 1.0, default_cfg()),
     lambda rho, h: master_step(rho, h, 0.1, 1e-3),
-    lambda rho, h: evolve_master(rho, h, constant_width_growth(0.1), 1.0, default_cfg()),
-    lambda rho, h: evolve_master(rho, h, IdealClock(), 1.0, default_cfg()),
+    lambda rho, h: evolve_master(rho, h, constant_width_growth(0.1), 1.0, 1e-2),
+    lambda rho, h: evolve_master(rho, h, IdealClock(), 1.0, 1e-2),
     lambda rho, h: ordinary_probability(rho, build_projector(h, 0.0, 1.0)),
 ], ids=["smear_density", "master_step", "evolve_master", "evolve_master_ideal",
         "ordinary_probability"])

@@ -1,6 +1,8 @@
-"""Smoke test: each experiment script in scripts/ runs and writes its CSV."""
+"""Each experiment script in scripts/ runs and writes its CSV; the decay
+script's curves are checked against their closed forms."""
 
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -27,3 +29,10 @@ def test_script_writes_csv(script, header, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == header
     assert len(rows) > 2
+    if script == "decay_vs_clock_quality.py":
+        # T = 10 in steps of 1e-3; |rho01| = 0.5 without decay, 0.5 e^{-sigma T} with it
+        assert len(rows) == 10_002
+        for row in rows[1:]:
+            t, ideal, sigma_025 = float(row[0]), float(row[1]), float(row[3])
+            assert abs(ideal - 0.5) <= 1e-12
+            assert abs(sigma_025 - 0.5 * math.exp(-0.25 * t)) <= 1e-8
