@@ -58,8 +58,14 @@ class TestPdf:
             with pytest.raises(ValidationError, match="rate must be positive and finite"):
                 GaussianClock(width=1.0, rate=rate)
 
+    def test_ideal_returns_delta_flag(self):
+        # the ideal clock's density is a delta, which pdf does not represent
+        with pytest.raises(UnsupportedClockKindError,
+                           match="Gaussian clocks, not IdealClock$"):
+            pdf(IdealClock(), 1.0, 2.0)
+
     def test_unsupported_kinds_raise(self):
-        for clock in (IdealClock(), constant_width_growth(0.1),
+        for clock in (constant_width_growth(0.1),
                       FundamentalLimitClock(t_planck=1.0, t_max=2.0)):
             with pytest.raises(UnsupportedClockKindError,
                                match=f"Gaussian clocks, not {type(clock).__name__}$"):

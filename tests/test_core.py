@@ -143,6 +143,18 @@ class TestDensityStack:
     """_require_density_stack checks a stack in one pass and must accept and
     reject exactly what one DensityMatrix per matrix would."""
 
+    def test_clean_stacks_pass_as_read_only_states(self, rng):
+        for d in range(2, 17):
+            stack = _density_stack(rng, 7, d)
+            before = stack.copy()
+            assert _require_density_stack(stack) is None
+            assert np.array_equal(stack, before)
+            for m in stack:
+                state = DensityMatrix(m)
+                assert state.dim == d
+                assert not state.matrix.flags.writeable
+                assert np.array_equal(state.matrix, m)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("plant", [_hermitian_defect, _trace_defect, _negative_eigenvalue,
                                        _nan_entry, _inf_entry],
