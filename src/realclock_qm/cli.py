@@ -208,9 +208,10 @@ def run_condprob(document: dict) -> RunResult:
     mode = section["mode"]
     reading_operator = None
     if mode == "wavepacket":
-        packet = make_wavepacket_clock(**{
-            k: v for k, v in (section.get("wavepacket") or {}).items()
-        })
+        try:
+            packet = make_wavepacket_clock(**(section.get("wavepacket") or {}))
+        except ValidationError as exc:
+            raise ConfigError(f"config key 'condprob.wavepacket': {exc}") from exc
         reading_operator = packet.reading_operator
     else:
         clock = cfgmod.build_clock(document.get("clock"))

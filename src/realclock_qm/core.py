@@ -42,7 +42,7 @@ def require_finite(**values: float) -> None:
 
 def require_same_dim(rho: "DensityMatrix", operator, name: str) -> None:
     """Raise DimensionMismatchError unless the operator acts on the state's space."""
-    dim = operator.matrix.shape[0]
+    dim = operator.dim
     if rho.dim != dim:
         raise DimensionMismatchError(f"state dimension {rho.dim} != {name} dimension {dim}")
 
@@ -88,36 +88,52 @@ def _require_density_stack(stack: np.ndarray) -> None:
         raise
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class HermitianOperator:
     """A Hermitian matrix: Hamiltonians and observables.
 
     An operator keeps its spectral decomposition once it is known (built
     from_spectrum, or computed by eigendecompose); it is immutable, so the
-    kept decomposition cannot go stale.
+    kept decomposition cannot go stale. An operator built from_spectrum
+    builds its dense ``matrix`` only when it is first read.
     """
 
-    matrix: np.ndarray
-    _decomposition: EnergyDecomposition | None = field(default=None, init=False, repr=False)
+    _matrix: np.ndarray | None
+    _decomposition: EnergyDecomposition | None = field(repr=False)
 
-    def __post_init__(self):
-        m = as_square_complex(self.matrix, "operator")
+    def __init__(self, matrix):
+        m = as_square_complex(matrix, "operator")
         _require_hermitian(m, "operator")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_matrix", m)
+        object.__setattr__(self, "_decomposition", None)
 
     @classmethod
     def from_spectrum(cls, dec: EnergyDecomposition) -> HermitianOperator:
         """The operator (V * omega) V^dagger of a known decomposition, which
-        eigendecompose then returns without an eigh."""
-        v = dec.eigenvectors
-        m = (v * dec.eigenvalues) @ v.conj().T
-        operator = cls(0.5 * (m + m.conj().T))
+        eigendecompose then returns without an eigh. Neither the d x d
+        product nor its Hermiticity check is paid until ``matrix`` is read."""
+        operator = cls.__new__(cls)
+        object.__setattr__(operator, "_matrix", None)
         object.__setattr__(operator, "_decomposition", dec)
         return operator
 
     @property
+    def matrix(self) -> np.ndarray:
+        """The read-only dense matrix; for an operator built from_spectrum it
+        is (V * omega) V^dagger, built and checked Hermitian on first read."""
+        if self._matrix is None:
+            v = self._decomposition.eigenvectors
+            m = (v * self._decomposition.eigenvalues) @ v.conj().T
+            m = as_square_complex(0.5 * (m + m.conj().T), "operator")
+            _require_hermitian(m, "operator")
+            object.__setattr__(self, "_matrix", m)
+        return self._matrix
+
+    @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        if self._matrix is None:
+            return self._decomposition.dim
+        return self._matrix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,6 +211,10 @@ class Projector:
     def rank(self) -> int:
         return int(round(float(np.real(np.trace(self.matrix)))))
 
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
 
 def _sandwich(left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.ndarray:
     """left @ m @ right for one (d, d) matrix. For an (n, d, d) stack, two GEMMs
@@ -210,10 +230,19 @@ def _sandwich(left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EnergyDecomposition:
-    """Spectral decomposition of a Hamiltonian: H = V diag(omega) V^dagger."""
+    """Spectral decomposition of a Hamiltonian: H = V diag(omega) V^dagger.
+
+    Two structures of V are recorded for the routes that can use them:
+    ``diagonal`` is True when V is the identity (the operator is the
+    diagonal matrix of its eigenvalues), and a given ``dft_order`` states
+    that column n of V is column dft_order[n] of the unitary inverse-DFT
+    matrix, exp(2 pi i j m / d) / sqrt(d); that claim is checked here.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    dft_order: np.ndarray | None = None
+    diagonal: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.array(self.eigenvalues, dtype=float)
@@ -225,15 +254,31 @@ class EnergyDecomposition:
             raise ValidationError(f"eigenvalue {bad[0]} must be finite, got {w[bad[0]]}")
         if np.any(np.diff(w) < 0):
             raise ValidationError("eigenvalues must be sorted ascending")
+        eye = np.eye(v.shape[0])
         with np.errstate(invalid="ignore"):  # inf * 0; NaN fails the negated test
-            unit_defect = float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))))
+            unit_defect = float(np.max(np.abs(v.conj().T @ v - eye)))
         if not unit_defect <= TOL_DECOMPOSITION:
             raise ValidationError(
                 f"eigenvector matrix is not unitary: defect {unit_defect:.3e}"
             )
+        if self.dft_order is not None:
+            order = np.array(self.dft_order)
+            indices = np.arange(len(w))
+            if order.dtype.kind not in "iu" or not np.array_equal(np.sort(order), indices):
+                raise ValidationError("dft_order must be a permutation of the column indices")
+            dft_defect = float(np.max(np.abs(
+                np.fft.ifft(eye[:, order], axis=0, norm="ortho") - v)))
+            if not dft_defect <= TOL_DECOMPOSITION:
+                raise ValidationError(
+                    f"eigenvectors are not the inverse-DFT columns of dft_order: "
+                    f"defect {dft_defect:.3e}"
+                )
+            order.setflags(write=False)
+            object.__setattr__(self, "dft_order", order)
         w.setflags(write=False)
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", v)
+        object.__setattr__(self, "diagonal", bool(np.array_equal(v, eye)))
 
     @property
     def dim(self) -> int:

@@ -24,19 +24,24 @@ measurement: "probability that O is in a window given the clock reads T in
 a window", evaluated as a ratio of ideal-time integrals over a finite grid
 whose adequacy is checked by doubling it. Their trace curves Tr(X rho(t)) come
 from the state's rank factors (_trace_curves): one (T x d)(d x d) amplitude
-GEMM per rank factor and distinct operator, however many windows of that
-operator are queried, plus one real product for all of them. A pure state
-(the wavepacket clock, any state given as a vector) costs one GEMM per
-operator; a full-rank mixed state of dimension d, such as a system state
-given as a matrix, costs d.
+GEMM per rank factor and distinct operator, O(T d^2), however many windows
+of that operator are queried, plus one real product for all of them. A
+diagonal operator under a Hamiltonian whose eigenvectors are plane waves
+(the wavepacket clock's reading operator) costs instead one T x d batched
+inverse FFT per rank factor, O(T d log d). A pure state (the wavepacket
+clock, any state given as a vector) costs one GEMM or FFT per operator; a
+full-rank mixed state of dimension d, such as a system state given as a
+matrix, costs d.
 
 Decompositions are paid for once and only when unknown. An operator built
 from its spectrum (HermitianOperator.from_spectrum: the wavepacket clock's
 Hamiltonian, whose plane waves and energies k^2/2m are known, and its
 diagonal reading operator) and a state built from a vector
-(DensityMatrix.from_pure) cost no eigh. Any other operator costs one eigh
-the first time it is decomposed, which it then keeps; any other state costs
-one eigh per _trace_curves call for its rank factors.
+(DensityMatrix.from_pure) cost no eigh, and such an operator builds its
+dense matrix only on request, which no relational route makes. Any other
+operator costs one eigh the first time it is decomposed, which it then
+keeps; any other state costs one eigh per _trace_curves call for its rank
+factors.
 """
 
 from __future__ import annotations
@@ -145,23 +150,39 @@ def _simpson_weights(t: np.ndarray) -> np.ndarray:
     return w
 
 
-def _phase_table(decomp: EnergyDecomposition, t: np.ndarray) -> np.ndarray:
+def _phase_table(decomp: EnergyDecomposition, t: np.ndarray, columns=None,
+                 coeffs=None) -> np.ndarray:
     """exp(-i omega_n t) for every time of the uniform grid t; shape (len(t), dim).
 
+    ``columns`` lists the eigenvalue index of each table column (default:
+    all, in order), and ``coeffs``, if given, multiplies each column.
     With t_j = t_0 + j dt and j = p B + q for a block length B = ceil(sqrt(T)),
     the table is the outer product of the block offsets exp(-i omega (t_0 + p B dt))
     and the in-block steps exp(-i omega q dt): about 2 sqrt(T) dim complex
     exponentials instead of T dim. A grid that is not uniform is rejected,
     since its phases would be taken at the wrong times.
     """
-    n, w = len(t), decomp.eigenvalues
+    w = decomp.eigenvalues if columns is None else decomp.eigenvalues[columns]
+    n = len(t)
     block = math.isqrt(n - 1) + 1
     dt = (t[-1] - t[0]) / (n - 1)
     if np.max(np.abs(np.diff(t) - dt)) > 1e-9 * abs(dt):
         raise ValidationError("the phase table needs a uniform grid")
     offsets = np.exp(-1j * np.outer(t[0] + np.arange(0, n, block) * dt, w))
+    if coeffs is not None:
+        offsets *= coeffs
     steps = np.exp(-1j * np.outer(np.arange(block) * dt, w))
     return (offsets[:, None, :] * steps[None, :, :]).reshape(-1, len(w))[:n]
+
+
+def _dft_amplitudes(decomp: EnergyDecomposition, t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """V (e^{-i omega t} * c) over the grid, for a decomp whose eigenvectors
+    are inverse-DFT columns (its dft_order): the phase table is laid out in
+    FFT column order with c multiplied in, then inverse-transformed in place,
+    one batched ifft of T rows of length d."""
+    columns = np.argsort(decomp.dft_order)  # the eigenvalue index of each FFT column
+    table = _phase_table(decomp, t, columns, c[columns])
+    return np.fft.ifft(table, norm="ortho", out=table)
 
 
 def _trace_curves(
@@ -182,13 +203,17 @@ def _trace_curves(
         A_k(t) = U^dagger V (e^{-i omega t} * V^dagger phi_k),
 
     with f(o) = o for O itself and the window's 0/1 mask for a projector.
-    Each distinct operator is decomposed once; its amplitudes take one
-    (T x d)(d x d) GEMM per rank factor, and all its curves one real
-    (T x d)(d x n) product. Cost: rank(rho) GEMMs per distinct operator.
+    Each distinct operator is decomposed once, and all its curves take one
+    real (T x d)(d x n) product. Its amplitudes take one (T x d)(d x d) GEMM
+    per rank factor, O(T d^2); but a diagonal operator (U = I, such as the
+    wavepacket clock's reading operator) under plane waves (decomp.dft_order)
+    takes one T x d batched inverse FFT per rank factor, O(T d log d), and no
+    phase table in the energy order. The route follows from the structure
+    the two decompositions recorded at construction.
     """
     lam, phi = rho.rank_factors()
     coeffs = decomp.eigenvectors.conj().T @ phi
-    phases = _phase_table(decomp, t)
+    phases = None
     groups: dict[int, list[int]] = {}
     for i, (operator, _) in enumerate(requests):
         groups.setdefault(id(operator), []).append(i)
@@ -198,10 +223,15 @@ def _trace_curves(
         o = dec_o.eigenvalues
         f = np.column_stack([o if window is None else dec_o.window(*window)
                              for _, window in (requests[i] for i in members)]).astype(float)
-        basis = (dec_o.eigenvectors.conj().T @ decomp.eigenvectors).T  # (U^dagger V)^T
+        if dec_o.diagonal and decomp.dft_order is not None:
+            amplitudes = (_dft_amplitudes(decomp, t, c_k) for c_k in coeffs.T)
+        else:
+            if phases is None:
+                phases = _phase_table(decomp, t)
+            basis = (dec_o.eigenvectors.conj().T @ decomp.eigenvectors).T  # (U^dagger V)^T
+            amplitudes = (phases @ (c_k[:, None] * basis) for c_k in coeffs.T)
         weight = None
-        for lam_k, c_k in zip(lam, coeffs.T):
-            amp = phases @ (c_k[:, None] * basis)
+        for lam_k, amp in zip(lam, amplitudes):
             sq = amp.real ** 2  # |amp|^2 in place: peak memory stays at the old route's
             sq += amp.imag ** 2
             sq *= lam_k
@@ -678,7 +708,9 @@ class WavepacketClock:
     expected reading is velocity * t with Gaussian fluctuations of width
     sigma_x(t). ``gaussian_model`` is the matched analytic clock (width from
     the exact free-packet solution, rate the velocity) for cross-checks.
-    Valid while the packet stays away from the periodic wrap.
+    Valid while the packet stays away from the periodic wrap. ``positions``
+    is a read-only array, so the readings cannot drift from the reading
+    operator's eigenvalues.
     """
 
     rho: DensityMatrix
@@ -689,6 +721,9 @@ class WavepacketClock:
     grid_spacing: float
     velocity: float
     x0: float
+
+    def __post_init__(self):
+        self.positions.setflags(write=False)
 
     def reading_values(self) -> np.ndarray:
         return self.positions - self.x0
@@ -708,8 +743,11 @@ def make_wavepacket_clock(
     inside the grid's momentum zone pi*n/length, and the packet must not
     spread appreciably over the query horizon; the defaults satisfy both.
     The Hamiltonian is built from its known spectrum (the plane waves, with
-    energies k^2/2m ascending) and the reading operator from its diagonal,
-    so eigendecompose returns both without an eigh.
+    energies k^2/2m ascending, recorded as inverse-DFT columns) and the
+    reading operator from its diagonal, so eigendecompose returns both
+    without an eigh, neither builds its dense matrix unless it is read, and
+    the reading operator's trace curves take the batched inverse-FFT route
+    of _trace_curves.
     """
     require_finite(length=length, mass=mass, sigma0=sigma0, x0=x0, velocity=velocity)
     if n < 2 or length <= 0 or mass <= 0 or sigma0 <= 0 or velocity <= 0:
@@ -727,7 +765,8 @@ def make_wavepacket_clock(
     energies = k_index**2 / (2.0 * mass)
     order = np.argsort(energies, kind="stable")  # +k and -k share a level
     plane_waves = np.exp(1j * np.outer(x, k_index[order])) / math.sqrt(n)
-    h_cl = HermitianOperator.from_spectrum(EnergyDecomposition(energies[order], plane_waves))
+    h_cl = HermitianOperator.from_spectrum(
+        EnergyDecomposition(energies[order], plane_waves, dft_order=order))
 
     psi = np.exp(1j * p0 * x) * np.exp(-((x - x0) ** 2) / (4.0 * sigma0**2))
     rho = DensityMatrix.from_pure(psi)

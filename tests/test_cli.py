@@ -14,6 +14,9 @@ from realclock_qm.config import CONFIG_SCHEMA, apply_override, derive_rng, valid
 from realclock_qm import ConfigError, fundamental_decay_factor
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
 def run_cli(*args):
     return main(list(args))
 
@@ -276,6 +279,45 @@ class TestCondprobCommand:
         assert err == (f"config error: config key 'evolution.grid': grid requires "
                        f"t_min < t_max, got [{t_min}, {t_max}]\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ("condprob.wavepacket.velocity=5", "momentum kick 200 (+tails) exceeds the grid "
+                                           "momentum zone 11.5"),
+        ("condprob.wavepacket.x0=1000", "pure state vector must be nonzero"),
+    ])
+    def test_bad_wavepacket_is_config_error(self, tmp_path, capsys, override, message):
+        out = tmp_path / "o.csv"
+        assert run_cli("condprob", "--config", str(CONFIGS / "condprob_wavepacket.json"),
+                       "--out", str(out), "--set", override) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config key 'condprob.wavepacket': ")
+        assert message in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_wavepacket_run_is_byte_identical(self, tmp_path):
+        out = tmp_path / "o.csv"
+        outputs = []
+        for _ in range(2):
+            assert run_cli("condprob", "--config", str(CONFIGS / "condprob_wavepacket.json"),
+                           "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_wavepacket_sweep_is_byte_identical_across_worker_counts(self, tmp_path,
+                                                                     monkeypatch):
+        run = json.loads((CONFIGS / "condprob_wavepacket.json").read_text())
+        del run["output"]
+        doc = {"command": "sweep", "sweep": {"key": "system.omega", "min": 0.1, "max": 0.2,
+                                             "n": 2}, "run": run}
+        cfg = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "o.csv"
+        outputs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("REALCLOCK_QM_WORKERS", workers)
+            assert run_cli("sweep", "--config", cfg, "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(read_rows(out)[1]) == 2
 
 
 class TestClockLimitsCommand:

@@ -25,7 +25,7 @@ from realclock_qm import (
     unitary_evolve,
 )
 from realclock_qm import evolution
-from realclock_qm.core import EnergyDecomposition
+from realclock_qm.core import EnergyDecomposition, _require_hermitian
 from realclock_qm.evolution import _doubled_grid, _phase_table, _trace_curves
 from helpers import PAULI_X, plus_state, qubit_hamiltonian, random_hermitian, random_pure
 
@@ -452,6 +452,97 @@ def test_phase_table_rejects_a_non_uniform_grid():
     t[50] += 1e-6
     with pytest.raises(ValidationError, match="uniform grid"):
         _phase_table(decomp, t)
+
+
+# ---------------------------------------------------------------------------
+# Trace curves of a diagonal reader under plane waves: one batched inverse FFT
+# ---------------------------------------------------------------------------
+
+
+def shifted_mixture(packet):
+    """A rank-2 clock: the packet mixed with its copy shifted by one site."""
+    shifted = np.roll(np.roll(packet.rho.matrix, 1, axis=0), 1, axis=1)
+    return DensityMatrix(0.7 * packet.rho.matrix + 0.3 * shifted)
+
+
+@pytest.fixture
+def ifft_calls(monkeypatch):
+    calls = []
+    ifft = np.fft.ifft
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [256, 255])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_fft_route_matches_gemm_route_and_contraction(n, rank, ifft_calls):
+    packet = make_wavepacket_clock(n=n)
+    rho = packet.rho if rank == 1 else shifted_mixture(packet)
+    assert len(rho.rank_factors()[0]) == rank
+    dec = eigendecompose(packet.hamiltonian)
+    as_gemm = EnergyDecomposition(dec.eigenvalues, dec.eigenvectors)  # no dft_order
+    levels, dx = dec.eigenvalues, packet.grid_spacing
+    site = float(packet.reading_values()[120])
+    reader, h = packet.reading_operator, packet.hamiltonian
+    requests = [
+        (reader, None),
+        (reader, (site, 0.45 * dx)),            # one site
+        (h, (float(levels[3]), 1e-9)),          # one degenerate level, between reader requests
+        (reader, (site, 3.5 * dx)),             # seven sites
+        (reader, (1e3, 0.45 * dx)),             # empty window
+        (h, (float(levels[2]), 0.5 * float(levels[5] - levels[2]))),  # two levels
+    ]
+    t = np.linspace(-10.0, 60.0, 301)
+    ifft_calls.clear()  # the clock's construction checks its dft_order with an ifft
+    fft = _trace_curves(rho, dec, t, requests)
+    assert len(ifft_calls) == rank and all(shape == (301, n) for shape in ifft_calls)
+    gemm = _trace_curves(rho, as_gemm, t, requests)
+    assert len(ifft_calls) == rank
+    oracle = contraction_curves(rho, dec, t, requests)
+    for got, via_gemm, want in zip(fft, gemm, oracle):
+        assert np.max(np.abs(got - via_gemm)) <= 1e-12
+        assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(fft[1])) > 0.01 and np.max(np.abs(fft[3])) > np.max(np.abs(fft[1]))
+    assert np.max(np.abs(fft[4])) == 0.0
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_wavepacket_route_ffts_once_per_rank_factor_and_builds_no_dense_matrix(rank,
+                                                                                ifft_calls):
+    packet = make_wavepacket_clock()
+    rho_cl = packet.rho if rank == 1 else shifted_mixture(packet)
+    route = TestQuantumRoute()
+    sites = [route._site_query(packet, target) for target in (8.5, 9.0)]
+    ifft_calls.clear()
+    conditional_probabilities(rho_cl, plus_state(), packet.hamiltonian, qubit_hamiltonian(0.15),
+                              [q for q, _ in sites], route._cfg(packet, sites[0][1]))
+    assert len(ifft_calls) == rank
+    assert packet.hamiltonian._matrix is None and packet.reading_operator._matrix is None
+
+
+def test_wavepacket_operators_build_their_matrix_on_request():
+    packet = make_wavepacket_clock()
+    for operator in (packet.hamiltonian, packet.reading_operator):
+        assert operator._matrix is None and operator.dim == 256
+        dec = eigendecompose(operator)
+        m = operator.matrix
+        v = dec.eigenvectors
+        assert np.max(np.abs(m - (v * dec.eigenvalues) @ v.conj().T)) <= 1e-13
+        assert not m.flags.writeable and operator.matrix is m
+        _require_hermitian(m, "operator")
+
+
+def test_wavepacket_positions_are_read_only():
+    packet = make_wavepacket_clock()
+    with pytest.raises(ValueError, match="read-only"):
+        packet.positions[:] += 1.0
+    assert np.array_equal(packet.reading_values(),
+                          eigendecompose(packet.reading_operator).eigenvalues)
 
 
 # ---------------------------------------------------------------------------

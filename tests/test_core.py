@@ -13,7 +13,7 @@ from realclock_qm import (
     eigendecompose,
     unitary_evolve,
 )
-from realclock_qm.core import _require_density_stack
+from realclock_qm.core import _require_density_stack, _require_hermitian
 from helpers import PAULI_X, plus_state, qubit_hamiltonian, random_density, random_hermitian
 
 
@@ -305,6 +305,41 @@ class TestEigendecompose:
         v[1, 0] = entry
         with pytest.raises(ValidationError, match="not unitary"):
             EnergyDecomposition(eigenvalues=[0.0, 1.0], eigenvectors=v)
+
+    def test_operator_from_spectrum_builds_its_matrix_on_first_read(self, rng):
+        v, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        dec = EnergyDecomposition(eigenvalues=[-1.0, 0.0, 0.0, 2.0, 3.5], eigenvectors=v)
+        op = HermitianOperator.from_spectrum(dec)
+        assert op.dim == 5 and op._matrix is None  # the dimension needs no matrix
+        m = op.matrix
+        assert op.matrix is m and not m.flags.writeable
+        _require_hermitian(m, "operator")
+        assert np.max(np.abs(m - (v * dec.eigenvalues) @ v.conj().T)) <= 1e-13
+
+    def test_decomposition_records_identity_eigenvectors(self, rng):
+        assert EnergyDecomposition(eigenvalues=[0.0, 1.0, 2.0], eigenvectors=np.eye(3)).diagonal
+        v, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        assert not EnergyDecomposition(eigenvalues=[0.0, 1.0, 2.0], eigenvectors=v).diagonal
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_dft_order_names_the_inverse_dft_columns(self, n):
+        order = np.roll(np.arange(n), 2)
+        j = np.arange(n)
+        columns = np.exp(2j * np.pi * np.outer(j, order) / n) / np.sqrt(n)
+        dec = EnergyDecomposition(eigenvalues=np.arange(n, dtype=float), eigenvectors=columns,
+                                  dft_order=order)
+        assert np.array_equal(dec.dft_order, order) and not dec.dft_order.flags.writeable
+        assert not dec.diagonal
+        with pytest.raises(ValidationError, match="inverse-DFT columns"):
+            EnergyDecomposition(eigenvalues=np.arange(n, dtype=float), eigenvectors=columns,
+                                dft_order=order[::-1])
+
+    @pytest.mark.parametrize("order", [[0, 0, 1], [0, 1, 3], [0.0, 1.0, 2.0]])
+    def test_dft_order_must_be_a_permutation(self, order):
+        columns = np.fft.ifft(np.eye(3), axis=0, norm="ortho")
+        with pytest.raises(ValidationError, match="permutation"):
+            EnergyDecomposition(eigenvalues=[0.0, 1.0, 2.0], eigenvectors=columns,
+                                dft_order=order)
 
 
 class TestBuildProjector:
